@@ -24,10 +24,10 @@ vet:
 
 # Race extras: the parallel pipeline, the wave fixpoints, the checks
 # engine, the shared set layer, the query-serving layer, the metrics
-# layer and the incremental pipeline must stay race-clean and
-# deterministic at any -j.
+# layer, the incremental pipeline and the dependence analysis the
+# server runs per query must stay race-clean and deterministic at any -j.
 race:
-	$(GO) test -race ./internal/core ./internal/driver ./internal/linker ./internal/parallel ./internal/pts/worklist ./internal/checks ./internal/pts/set ./internal/serve ./internal/extmodel ./internal/obs ./internal/snapfile ./internal/incr
+	$(GO) test -race ./internal/core ./internal/driver ./internal/linker ./internal/parallel ./internal/pts/worklist ./internal/checks ./internal/pts/set ./internal/serve ./internal/extmodel ./internal/obs ./internal/snapfile ./internal/incr ./internal/depend
 
 check: build fmt vet test race
 
@@ -52,16 +52,19 @@ bench-check:
 	$(GO) run ./cmd/clabench -table 15 -scale 1.0 -j 4 -check -tolerance $(TOLERANCE) $(CHECK_FLAGS)
 
 # Short fuzz runs over the binary object-file reader, the trace encoder,
-# the adaptive set layer, the extern-model path and the solved-snapshot
-# reader: corrupt inputs must error (never panic or corrupt output), set
-# operations must match their map oracles, and the extern models must
-# stay monotone and deterministic on arbitrary translation units.
+# the adaptive set layer, the extern-model path, the solved-snapshot
+# reader and the dependence analysis: corrupt inputs must error (never
+# panic or corrupt output), set operations must match their map oracles,
+# the extern models must stay monotone and deterministic on arbitrary
+# translation units, and dependence queries must match their reference
+# implementation byte for byte.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/objfile
 	$(GO) test -run=^$$ -fuzz=FuzzTrace -fuzztime=10s ./internal/obs
 	$(GO) test -run=^$$ -fuzz=FuzzSetOps -fuzztime=10s ./internal/pts/set
 	$(GO) test -run=^$$ -fuzz=FuzzExterns -fuzztime=10s ./internal/extmodel
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshot -fuzztime=10s ./internal/snapfile
+	$(GO) test -run=^$$ -fuzz=FuzzDepend -fuzztime=10s ./internal/depend
 
 clean:
 	$(GO) clean ./...

@@ -127,3 +127,37 @@ func TestClasnapEndToEnd(t *testing.T) {
 		t.Fatalf("rebuild output: %q", out)
 	}
 }
+
+// TestClasnapRelativeSourcesVerifyElsewhere builds a snapshot from a
+// relative source directory and verifies it from another working
+// directory: the recorded source paths must not depend on the cwd.
+func TestClasnapRelativeSourcesVerifyElsewhere(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	tools := buildTools(t, "clasnap")
+	work := t.TempDir()
+	if err := os.Mkdir(filepath.Join(work, "src"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	unit := filepath.Join(work, "src", "a.c")
+	if err := os.WriteFile(unit, []byte("int g; int *p;\nvoid f(void) { p = &g; }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(work, "a.snap")
+	inDir := func(dir string, args ...string) (string, int) {
+		cmd := exec.Command(tools["clasnap"], args...)
+		cmd.Dir = dir
+		out, _ := cmd.CombinedOutput()
+		return string(out), cmd.ProcessState.ExitCode()
+	}
+	if out, code := inDir(work, "-o", snap, "src"); code != 0 {
+		t.Fatalf("build from a relative path: exit %d\n%s", code, out)
+	}
+	if out, code := inDir(t.TempDir(), "-verify", snap); code != 0 || !strings.Contains(out, "sources verified") {
+		t.Fatalf("-verify from another directory: exit %d\n%s", code, out)
+	}
+	if out, _ := inDir(t.TempDir(), "-info", snap); !strings.Contains(out, "source      "+unit) {
+		t.Errorf("-info does not record the absolute source path %s:\n%s", unit, out)
+	}
+}

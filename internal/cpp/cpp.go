@@ -346,13 +346,19 @@ func (p *Preprocessor) include(rest, file string, line, depth int) error {
 		}
 		name = rest[1:end]
 	default:
-		// Macro-expanded include argument.
+		// Macro-expanded include argument. It must expand to one of the
+		// two forms above; anything else would re-enter this branch
+		// without end.
 		toks := lexLine(rest, file, line)
 		expanded, err := p.expand(toks, map[string]bool{})
 		if err != nil {
 			return err
 		}
-		return p.include(joinTokens(expanded), file, line, depth)
+		arg := strings.TrimSpace(joinTokens(expanded))
+		if !strings.HasPrefix(arg, "\"") && !strings.HasPrefix(arg, "<") {
+			return p.errf(file, line, "#include expects \"FILENAME\" or <FILENAME>")
+		}
+		return p.include(arg, file, line, depth)
 	}
 	content, path, err := p.Loader.Load(name)
 	if err != nil {

@@ -337,6 +337,25 @@ func TestMacroArgWithNestedParens(t *testing.T) {
 	}
 }
 
+func TestMacroExpandedInclude(t *testing.T) {
+	files := map[string]string{"defs.h": "int d;\n"}
+	if got := pp(t, "#define H \"defs.h\"\n#include H\n", files); got != "int d;" {
+		t.Errorf("got %q", got)
+	}
+	// Arguments that expand to neither "..." nor <...> used to re-enter
+	// the macro-expansion branch until the stack overflowed.
+	for _, src := range []string{
+		"#include x\"\n",
+		"#include\n",
+		"#define X Y\n#include X\n",
+		"#define E\n#include E\n",
+	} {
+		if err := ppErr(t, src); !strings.Contains(err.Error(), "#include expects") {
+			t.Errorf("Preprocess(%q): error = %v", src, err)
+		}
+	}
+}
+
 func TestDeepIncludeLimit(t *testing.T) {
 	files := map[string]string{"l.h": "#include \"l.h\"\n"}
 	p := New(MapLoader(files))

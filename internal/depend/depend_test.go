@@ -428,3 +428,31 @@ void m(void) { a = target; b = a; c = b; }`
 		t.Errorf("no elision marker:\n%s", tree)
 	}
 }
+
+func TestWeakLoadRefiresAfterStrengthDrops(t *testing.T) {
+	// v1 is reached by a strong chain of length 5 and v2 by a weak one
+	// of length 1; both are read through u by a weak load. The weak
+	// chain pops after the strong one, and its re-fired load gives d the
+	// shorter chain: d = *u from v2 at distance 2, not from v1 at 6.
+	src := `int target, a1, a2, a3, a4, v1, v2, d, *u;
+void m(void) {
+	a1 = target; a2 = a1; a3 = a2; a4 = a3; v1 = a4;
+	v2 = target * 2;
+	u = &v1; u = &v2;
+	d = *u * 3;
+}`
+	p, r := analyze(t, src, "target", Options{})
+	d := p.SymIDByName("d")
+	var got *Dependent
+	for _, dep := range r.Dependents() {
+		if dep.Sym == d {
+			got = &dep
+		}
+	}
+	if got == nil || got.Strength != prim.Weak || got.Dist != 2 {
+		t.Fatalf("d = %+v, want weak at distance 2", got)
+	}
+	if chain := r.FormatChain(d); !strings.Contains(chain, "v2/") || strings.Contains(chain, "v1/") {
+		t.Errorf("chain = %s, want it through v2", chain)
+	}
+}

@@ -15,19 +15,16 @@ import (
 // strength and location. maxDepth <= 0 means unlimited.
 func (r *Result) FormatTree(maxDepth int) string {
 	children := map[prim.SymID][]prim.SymID{}
-	tset := map[prim.SymID]bool{}
-	for _, t := range r.targets {
-		tset[t] = true
-	}
-	for sym, st := range r.best {
-		if tset[sym] || !st.prevSet {
-			continue
+	for i := range r.states {
+		st := &r.states[i]
+		if st.prev == prim.NoSym {
+			continue // a target
 		}
-		children[st.prev] = append(children[st.prev], sym)
+		children[st.prev] = append(children[st.prev], st.sym)
 	}
 	for _, kids := range children {
 		sort.Slice(kids, func(i, j int) bool {
-			a, b := r.best[kids[i]], r.best[kids[j]]
+			a, b := r.lookup(kids[i]), r.lookup(kids[j])
 			if a.strength != b.strength {
 				return a.strength > b.strength
 			}
@@ -52,7 +49,7 @@ func (r *Result) FormatTree(maxDepth int) string {
 				connector = "└─ "
 				childPrefix = prefix + "   "
 			}
-			st := r.best[kid]
+			st := r.lookup(kid)
 			s := r.src.Sym(kid)
 			fmt.Fprintf(&b, "%s%s%s/%s <%s> [%s]\n",
 				prefix, connector, s.Name, s.Type, st.loc, st.edgeStr)

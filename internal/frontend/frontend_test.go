@@ -53,6 +53,14 @@ func hasAssign(t *testing.T, p *prim.Program, want ...string) {
 	}
 }
 
+func TestMalformedIncludeIsAnError(t *testing.T) {
+	// Used to recurse in the preprocessor until the stack overflowed.
+	_, err := CompileSource("bad.c", "#include x\"\n", nil, Options{})
+	if err == nil || !strings.Contains(err.Error(), "#include expects") {
+		t.Fatalf("CompileSource error = %v, want a malformed #include error", err)
+	}
+}
+
 func TestSimpleAssignment(t *testing.T) {
 	p := compile(t, "int x, y; void f(void) { x = y; }", Options{})
 	wantAssigns(t, p, "x = y")

@@ -357,6 +357,25 @@ int counter = {{{;
 	}
 }
 
+func TestMalformedIncludeKeepsServingOldGeneration(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, baseTree)
+	p, err := Open(context.Background(), testConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen1 := p.Current()
+	// This one-line unit used to overflow the preprocessor's stack, a
+	// fatal error no recover can catch.
+	edit(t, dir, "bad.c", "#include x\"\n")
+	if _, _, err := p.Refresh(context.Background()); err == nil || !strings.Contains(err.Error(), "#include expects") {
+		t.Fatalf("Refresh error = %v, want a malformed #include error", err)
+	}
+	if p.Current() != gen1 {
+		t.Fatal("failed refresh replaced the current generation")
+	}
+}
+
 func TestStoreWarmStartAcrossSessions(t *testing.T) {
 	dir := t.TempDir()
 	cache := t.TempDir()

@@ -112,6 +112,10 @@ func LinkTreeMemo(units []*prim.Program, keys []uint64, jobs int,
 	for round := 0; len(cur) > 1; round++ {
 		next := make([]*prim.Program, (len(cur)+1)/2)
 		nk := make([]uint64, len(next))
+		// Workers record each slot's outcome here; the stats are summed
+		// after the round, never written from the workers.
+		reused := make([]bool, len(next))
+		merged := make([]bool, len(next))
 		r := round
 		err := parallel.ForEach(jobs, len(next), func(i int) error {
 			if 2*i+1 >= len(cur) {
@@ -125,7 +129,7 @@ func LinkTreeMemo(units []*prim.Program, keys []uint64, jobs int,
 				if p, ok := cache.get(key); ok {
 					cache.put(key, p)
 					next[i] = p
-					st.Reused++
+					reused[i] = true
 					return nil
 				}
 			}
@@ -136,13 +140,21 @@ func LinkTreeMemo(units []*prim.Program, keys []uint64, jobs int,
 				return err
 			}
 			merges.Inc()
-			st.Merges++
+			merged[i] = true
 			if cache != nil {
 				cache.put(key, p)
 			}
 			next[i] = p
 			return nil
 		})
+		for i := range next {
+			if reused[i] {
+				st.Reused++
+			}
+			if merged[i] {
+				st.Merges++
+			}
+		}
 		if err != nil {
 			return nil, st, err
 		}

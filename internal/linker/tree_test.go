@@ -128,3 +128,28 @@ func TestMergeCacheGenerationEviction(t *testing.T) {
 		t.Fatalf("evicted tree still served %d reuses", st.Reused)
 	}
 }
+
+// TestLinkTreeMemoStatsUnderParallelMerges counts work from eight
+// workers over a warm cache. Merges+Reused must cover every internal
+// node of the tree (n-1 for n leaves); run under -race it also checks
+// that the workers never write the stats directly.
+func TestLinkTreeMemoStatsUnderParallelMerges(t *testing.T) {
+	const n = 25 // treeUnits names one unit per letter
+	progs, keys := treeUnits(t, n)
+	cache := NewMergeCache()
+	for round := 0; round < 4; round++ {
+		if round > 0 {
+			keys[round*6] = uint64(1000 + round) // one dirty leaf per relink
+		}
+		_, st, err := LinkTreeMemo(progs, keys, 8, cache, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Merges+st.Reused != n-1 {
+			t.Fatalf("round %d: stats %+v cover %d merges, want %d", round, st, st.Merges+st.Reused, n-1)
+		}
+		if round > 0 && st.Reused == 0 {
+			t.Fatalf("round %d: warm relink reused nothing: %+v", round, st)
+		}
+	}
+}

@@ -181,6 +181,19 @@ func (o *Observer) Histogram(name string) *Histogram {
 	return h
 }
 
+// RemoveHistogram unregisters the named histogram, so the registry (and
+// WriteProm) no longer reports it; a later Histogram(name) starts a
+// fresh one. Callers bound per-entity series with it when the entity
+// goes away. No-op on a nil observer or an unknown name.
+func (o *Observer) RemoveHistogram(name string) {
+	if o == nil {
+		return
+	}
+	o.cmu.Lock()
+	delete(o.hists, name)
+	o.cmu.Unlock()
+}
+
 // Histograms returns the histogram registry sorted by name.
 func (o *Observer) Histograms() []Hist {
 	if o == nil {

@@ -16,7 +16,8 @@ package serve
 // Query evaluation latency is recorded separately by the handlers into
 // per-kind (serve.query.<kind>) and per-session (serve.session.<name>)
 // histograms, so /metricsz reports both transport-level and
-// evaluation-level distributions.
+// evaluation-level distributions. Deleting a session removes its
+// histogram, which bounds the series to the live sessions.
 
 import (
 	"fmt"
@@ -45,8 +46,12 @@ func kindLabel(kind string) string {
 func (s *Server) observeQuery(sess *Session, kind string, d time.Duration) {
 	ns := int64(d)
 	s.o.Histogram("serve.query." + kindLabel(kind)).Observe(ns)
-	s.o.Histogram("serve.session." + sess.Name).Observe(ns)
+	s.o.Histogram(sessionHistogram(sess.Name)).Observe(ns)
 }
+
+// sessionHistogram names a session's latency histogram; deleting the
+// session removes it.
+func sessionHistogram(name string) string { return "serve.session." + name }
 
 // statusWriter captures the status code and body size a handler wrote.
 type statusWriter struct {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -785,6 +786,46 @@ func TestSessionLifecycleREST(t *testing.T) {
 	}
 	if rec := doReq(t, h, "DELETE", "/v1/sessions/live", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("double delete = %d, want 404", rec.Code)
+	}
+}
+
+// TestDeletedSessionsLeaveNoSeries churns uniquely named sessions: each
+// one's latency histogram must leave /metricsz once it is deleted, so
+// session churn cannot grow the exposition without bound.
+func TestDeletedSessionsLeaveNoSeries(t *testing.T) {
+	dir := writeTestDir(t)
+	s := NewServer(NewRegistry(), ServerConfig{Jobs: 1, Session: Config{Jobs: 1}})
+	h := s.Handler()
+	const n = 50
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("churn%02d", i)
+		if rec := doReq(t, h, "POST", "/v1/sessions", marshal(t, sessionCreateBody{Name: name, Path: dir})); rec.Code != http.StatusCreated {
+			t.Fatalf("create %s = %d %q", name, rec.Code, rec.Body.String())
+		}
+		q := marshal(t, Request{Session: name, Queries: []Query{{Kind: "pointsto", Name: "r"}}})
+		if rec := doReq(t, h, "POST", "/v1/query", q); rec.Code != 200 {
+			t.Fatalf("query %s = %d %q", name, rec.Code, rec.Body.String())
+		}
+	}
+	series := func() int {
+		return strings.Count(get(t, h, "/metricsz").Body.String(), "serve_session_churn")
+	}
+	if series() == 0 {
+		t.Fatal("no per-session series before the deletes")
+	}
+	for i := 0; i < n; i++ {
+		if rec := doReq(t, h, "DELETE", fmt.Sprintf("/v1/sessions/churn%02d", i), nil); rec.Code != http.StatusNoContent {
+			t.Fatalf("delete churn%02d = %d", i, rec.Code)
+		}
+	}
+	// Deletion drops the histogram once the session's queries drain,
+	// off the request goroutine: wait for that, with a deadline.
+	deadline := time.Now().Add(10 * time.Second)
+	for series() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d serve_session_churn series left after deleting every session", series())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

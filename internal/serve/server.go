@@ -314,8 +314,13 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Close drains queries pinned to the session before unmapping any
-	// snapshot backing it; run it off the request goroutine.
-	go sess.Close()
+	// snapshot backing it; run it off the request goroutine. Queries
+	// record their latency while pinned, so once Close returns nothing
+	// observes the session's histogram again and it can be dropped.
+	go func() {
+		sess.Close()
+		s.o.RemoveHistogram(sessionHistogram(name))
+	}()
 	s.o.Counter("serve.sessions.deleted").Inc()
 	w.WriteHeader(http.StatusNoContent)
 }

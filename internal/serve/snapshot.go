@@ -71,8 +71,14 @@ func BuildSnapshot(ctx context.Context, path string, cfg Config) (*snapfile.Snap
 
 // snapshotSources lists the input files a snapshot of path depends on:
 // the object file itself, or every .c unit of a source directory (the
-// same set CompileDir compiles, in the same sorted order).
+// same set CompileDir compiles, in the same sorted order). Paths are
+// recorded absolute, so the snapshot verifies from any working
+// directory.
 func snapshotSources(path string) ([]snapfile.SourceFile, error) {
+	path, err := filepath.Abs(path)
+	if err != nil {
+		return nil, err
+	}
 	if strings.HasSuffix(path, ".cla") {
 		return snapfile.HashSources([]string{path})
 	}
