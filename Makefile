@@ -24,10 +24,12 @@ vet:
 
 # Race extras: the parallel pipeline, the wave fixpoints, the checks
 # engine, the shared set layer, the query-serving layer, the metrics
-# layer, the incremental pipeline and the dependence analysis the
-# server runs per query must stay race-clean and deterministic at any -j.
+# layer, the incremental pipeline, the dependence analysis the server
+# runs per query, and the frontend layers whose header memo, tokens and
+# syntax trees the compile workers share must stay race-clean and
+# deterministic at any -j.
 race:
-	$(GO) test -race ./internal/core ./internal/driver ./internal/linker ./internal/parallel ./internal/pts/worklist ./internal/checks ./internal/pts/set ./internal/serve ./internal/extmodel ./internal/obs ./internal/snapfile ./internal/incr ./internal/depend
+	$(GO) test -race ./internal/core ./internal/driver ./internal/linker ./internal/parallel ./internal/pts/worklist ./internal/checks ./internal/pts/set ./internal/serve ./internal/extmodel ./internal/obs ./internal/snapfile ./internal/incr ./internal/depend ./internal/cpp ./internal/cc ./internal/frontend
 
 check: build fmt vet test race
 
@@ -53,11 +55,12 @@ bench-check:
 
 # Short fuzz runs over the binary object-file reader, the trace encoder,
 # the adaptive set layer, the extern-model path, the solved-snapshot
-# reader and the dependence analysis: corrupt inputs must error (never
-# panic or corrupt output), set operations must match their map oracles,
-# the extern models must stay monotone and deterministic on arbitrary
-# translation units, and dependence queries must match their reference
-# implementation byte for byte.
+# reader, the dependence analysis and the C frontend: corrupt inputs must
+# error (never panic or corrupt output), set operations must match their
+# map oracles, the extern models must stay monotone and deterministic on
+# arbitrary translation units, dependence queries must match their
+# reference implementation byte for byte, and a unit must compile the
+# same with or without a header memo shared with another unit.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/objfile
 	$(GO) test -run=^$$ -fuzz=FuzzTrace -fuzztime=10s ./internal/obs
@@ -65,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzExterns -fuzztime=10s ./internal/extmodel
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshot -fuzztime=10s ./internal/snapfile
 	$(GO) test -run=^$$ -fuzz=FuzzDepend -fuzztime=10s ./internal/depend
+	$(GO) test -run=^$$ -fuzz=FuzzFrontend -fuzztime=10s ./internal/frontend
 
 clean:
 	$(GO) clean ./...

@@ -136,17 +136,29 @@ func (l *ErrorList) Err() error {
 // Tokenize lexes preprocessed source, honoring line markers. name is used
 // for positions until the first marker.
 func Tokenize(name, src string) ([]Token, error) {
-	errs := &ErrorList{}
-	lx := &lexer{src: src, file: name, line: 1, errs: errs}
-	var toks []Token
+	lx := lex(src, Pos{name, 1})
+	return append(lx.toks, Token{Kind: EOF, Pos: lx.end}), lx.errs.Err()
+}
+
+// lexed is the token stream of one text.
+type lexed struct {
+	toks []Token // without the EOF token
+	end  Pos     // position after the text
+	errs *ErrorList
+}
+
+// lex tokenizes src starting at position at.
+func lex(src string, at Pos) *lexed {
+	lx := &lexer{src: src, file: at.File, line: at.Line, errs: &ErrorList{}}
+	out := &lexed{errs: lx.errs}
 	for {
 		t := lx.next()
-		toks = append(toks, t)
 		if t.Kind == EOF {
-			break
+			out.end = t.Pos
+			return out
 		}
+		out.toks = append(out.toks, t)
 	}
-	return toks, errs.Err()
 }
 
 func (lx *lexer) errorf(format string, args ...any) {
@@ -166,18 +178,37 @@ func (lx *lexer) lineMarker() {
 		lineText = lx.src[lx.pos : lx.pos+end]
 		lx.pos += end + 1
 	}
+	if n, f, ok := parseMarker(lineText); ok {
+		lx.line = n
+		lx.file = f
+		return
+	}
+	// Not a recognizable marker; treat as a skipped line.
+	lx.line++
+}
+
+// parseMarker parses a `# <n> "<file>"` line.
+func parseMarker(lineText string) (int, string, bool) {
 	fields := strings.SplitN(strings.TrimSpace(lineText[1:]), " ", 2)
 	if len(fields) == 2 {
 		if n, err := strconv.Atoi(strings.TrimSpace(fields[0])); err == nil {
 			if f, err := strconv.Unquote(strings.TrimSpace(fields[1])); err == nil {
-				lx.line = n
-				lx.file = f
-				return
+				return n, f, true
 			}
 		}
 	}
-	// Not a recognizable marker; treat as a skipped line.
-	lx.line++
+	return 0, "", false
+}
+
+// startsWithMarker reports whether src opens with a line marker, so that
+// its tokens do not depend on the position it is lexed from.
+func startsWithMarker(src string) bool {
+	if !strings.HasPrefix(src, "#") {
+		return false
+	}
+	line, _, _ := strings.Cut(src, "\n")
+	_, _, ok := parseMarker(line)
+	return ok
 }
 
 func (lx *lexer) next() Token {

@@ -11,6 +11,12 @@ type Parser struct {
 	// scopes map names to "is a typedef" in the current lexical nesting;
 	// a non-typedef declaration shadows an outer typedef.
 	scopes []map[string]bool
+	// typedefs digests the file-scope typedef names (xor of nameSum).
+	typedefs uint64
+	// fileNames logs file-scope declarations while a shared chunk's
+	// declarations are parsed for the memo.
+	fileNames []fileName
+	logging   bool
 }
 
 // Parse tokenizes and parses preprocessed source text.
@@ -19,22 +25,45 @@ func Parse(name, src string) (*TranslationUnit, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newParser(toks).parseUnit(name, nil, nil)
+}
+
+func newParser(toks []Token) *Parser {
 	p := &Parser{toks: toks, errs: &ErrorList{}}
 	p.pushScope()
+	return p
+}
+
+// parseUnit parses external declarations up to EOF. Those of a shared
+// region that starts between two declarations come from the memo.
+func (p *Parser) parseUnit(name string, regions []region, m *Memo) (*TranslationUnit, error) {
 	unit := &TranslationUnit{Name: name}
 	for !p.at(EOF) {
-		start := p.pos
-		d := p.parseExternalDecl()
-		if d != nil {
-			unit.Decls = append(unit.Decls, d)
+		for len(regions) > 0 && regions[0].start < p.pos {
+			regions = regions[1:]
 		}
-		if p.pos == start {
-			// No progress: skip a token to guarantee termination.
-			p.errorf("unexpected token %q", p.tok().Text)
-			p.pos++
+		if len(regions) > 0 && regions[0].start == p.pos {
+			unit.Decls = p.parseRegion(unit.Decls, regions[0], m)
+			regions = regions[1:]
+			continue
 		}
+		unit.Decls = p.externalDecl(unit.Decls)
 	}
 	return unit, p.errs.Err()
+}
+
+// externalDecl parses one external declaration onto decls.
+func (p *Parser) externalDecl(decls []ExtDecl) []ExtDecl {
+	start := p.pos
+	if d := p.parseExternalDecl(); d != nil {
+		decls = append(decls, d)
+	}
+	if p.pos == start {
+		// No progress: skip a token to guarantee termination.
+		p.errorf("unexpected token %q", p.tok().Text)
+		p.pos++
+	}
+	return decls
 }
 
 func (p *Parser) tok() Token { return p.toks[p.pos] }
@@ -84,7 +113,16 @@ func (p *Parser) declareName(name string, isTypedef bool) {
 	if name == "" {
 		return
 	}
-	p.scopes[len(p.scopes)-1][name] = isTypedef
+	sc := p.scopes[len(p.scopes)-1]
+	if len(p.scopes) == 1 {
+		if sc[name] != isTypedef {
+			p.typedefs ^= nameSum(name)
+		}
+		if p.logging {
+			p.fileNames = append(p.fileNames, fileName{name, isTypedef})
+		}
+	}
+	sc[name] = isTypedef
 }
 
 // isTypedefName reports whether name currently denotes a typedef.

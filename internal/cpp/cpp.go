@@ -3,15 +3,19 @@
 // macros with # and ## operators, conditional compilation with full
 // constant-expression evaluation, #undef, #line, #error and #pragma.
 //
-// The output is a single preprocessed text with GCC-style line markers
+// The output is preprocessed text with GCC-style line markers
 // (`# <line> "<file>"`) so the downstream lexer can report locations in the
-// original sources.
+// original sources. A marker is written at the start of every file, after
+// every return from an #include, and before any line that does not follow
+// the previous output line in the same file.
 package cpp
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -78,25 +82,50 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("%s:%d: %s", e.File, e.Line, e.Msg)
 }
 
-// macro is a stored macro definition.
+// macro is a stored macro definition. It is never modified once
+// defined, so a header memo shares it between preprocessors.
 type macro struct {
 	name     string
 	funcLike bool
 	params   []string
 	variadic bool
 	body     []token // tokens of the replacement list
+	sum      uint64  // macroSum of the definition
+}
+
+// Piece is one run of preprocessed output. Every piece starts with a
+// line marker, so it reads the same wherever it is spliced. The pieces
+// of a memoized header are Shared by every unit that includes it under
+// the same key, and are never modified.
+type Piece struct {
+	Text   string
+	Shared bool
 }
 
 // Preprocessor holds macro state across files.
 type Preprocessor struct {
-	Loader    Loader
-	MaxDepth  int // include nesting limit; 0 means default (64)
+	Loader   Loader
+	MaxDepth int // include nesting limit; 0 means default (64)
+	// Memo serves repeated includes of a header. New gives each
+	// preprocessor its own; preprocessors of one compile phase may share
+	// one.
+	Memo *Memo
+
 	macros    map[string]*macro
-	out       strings.Builder
+	macroSum  uint64          // xor of the macros' sums
+	once      map[string]bool // files guarded by #pragma once
+	onceSum   uint64          // xor of the once paths' hashes
 	condStack []condState
 	expandDep int
-	curFile   string          // file currently being expanded, for __FILE__
-	once      map[string]bool // files guarded by #pragma once
+	curFile   string // file currently being expanded, for __FILE__
+
+	out     []byte   // output since the last piece
+	pieces  []*Piece // finished output
+	outFile string   // position the next output line would have
+	outLine int      // without a marker; 0 when unknown
+
+	recs []*recording // open header recordings, innermost last
+	log  effects      // effects since the outermost recording began
 }
 
 type condState struct {
@@ -114,7 +143,7 @@ type condState struct {
 // __STDC__ and __STDC_VERSION__ are predefined (the first two expand
 // positionally).
 func New(loader Loader) *Preprocessor {
-	p := &Preprocessor{Loader: loader, macros: map[string]*macro{}, once: map[string]bool{}}
+	p := &Preprocessor{Loader: loader, Memo: NewMemo(), macros: map[string]*macro{}, once: map[string]bool{}}
 	p.Define("__STDC__", "1")
 	p.Define("__STDC_VERSION__", "199901L")
 	// Fixed strings: builds must be reproducible, so no real clock.
@@ -126,21 +155,44 @@ func New(loader Loader) *Preprocessor {
 // Define installs an object-like macro, as if by -Dname=body.
 func (p *Preprocessor) Define(name, body string) {
 	toks := lexLine(body, "<cmdline>", 1)
-	p.macros[name] = &macro{name: name, body: toks}
+	m := &macro{name: name, body: toks}
+	m.sum = macroSum(m)
+	p.setMacro(name, m)
 }
 
 // Preprocess runs the preprocessor over the named file's content and
 // returns the expanded text with line markers.
 func (p *Preprocessor) Preprocess(name, content string) (string, error) {
-	p.out.Reset()
-	p.condStack = p.condStack[:0]
-	if err := p.processFile(name, content, 0); err != nil {
+	pieces, err := p.PreprocessPieces(name, content)
+	if err != nil {
 		return "", err
 	}
-	if len(p.condStack) != 0 {
-		return "", &Error{File: name, Line: p.condStack[len(p.condStack)-1].line, Msg: "unterminated #if"}
+	if len(pieces) == 1 {
+		return pieces[0].Text, nil
 	}
-	return p.out.String(), nil
+	var b strings.Builder
+	for _, pc := range pieces {
+		b.WriteString(pc.Text)
+	}
+	return b.String(), nil
+}
+
+// PreprocessPieces is Preprocess with the output left in pieces, so a
+// header's output that the memo shares between units is not copied.
+// Their concatenation is Preprocess's result.
+func (p *Preprocessor) PreprocessPieces(name, content string) ([]*Piece, error) {
+	p.out, p.pieces = p.out[:0], nil
+	p.outFile, p.outLine = "", 0
+	p.condStack = p.condStack[:0]
+	p.recs, p.log = nil, effects{}
+	if err := p.processFile(name, content, 0); err != nil {
+		return nil, err
+	}
+	if len(p.condStack) != 0 {
+		return nil, &Error{File: name, Line: p.condStack[len(p.condStack)-1].line, Msg: "unterminated #if"}
+	}
+	p.flush()
+	return p.pieces, nil
 }
 
 // PreprocessFile loads and preprocesses the named file.
@@ -165,16 +217,87 @@ func (p *Preprocessor) live() bool {
 	return true
 }
 
+// marker writes a line marker: the next output line is file:line.
 func (p *Preprocessor) marker(line int, file string) {
-	fmt.Fprintf(&p.out, "# %d %q\n", line, file)
+	p.out = append(p.out, "# "...)
+	p.out = strconv.AppendInt(p.out, int64(line), 10)
+	p.out = append(p.out, ' ')
+	p.out = strconv.AppendQuote(p.out, file)
+	p.out = append(p.out, '\n')
+	p.outFile, p.outLine = file, line
+}
+
+// emit writes the expansion of one logical line at file:line, preceded
+// by a marker only where the line sequence breaks.
+func (p *Preprocessor) emit(file string, line int, text string) error {
+	if line != p.outLine || file != p.outFile {
+		p.marker(line, file)
+	}
+	start := len(p.out)
+	var plain bool
+	if p.out, plain = p.plainLine(p.out, text); !plain {
+		p.out = p.out[:start]
+		expanded, err := p.expand(lexLine(text, file, line), nil)
+		if err != nil {
+			return err
+		}
+		p.out = appendJoined(p.out, expanded)
+	}
+	// The downstream lexer reads a '#' anywhere as a line marker, so
+	// after one the position is unknown.
+	p.outLine = line + 1
+	if bytes.IndexByte(p.out[start:], '#') >= 0 {
+		p.outLine = 0
+	}
+	p.out = append(p.out, '\n')
+	return nil
+}
+
+// plainLine appends the rendering of a line that names no defined macro
+// and neither __LINE__ nor __FILE__, which is joinTokens(lexLine(text)),
+// without building tokens. It reports false as soon as the line names
+// one; dst's bytes past the original length are then garbage.
+func (p *Preprocessor) plainLine(dst []byte, text string) ([]byte, bool) {
+	var prev token
+	space := false
+	for i := 0; i < len(text); {
+		if isHSpace(text[i]) {
+			space = true
+			i++
+			continue
+		}
+		kind, j := scanToken(text, i)
+		cur := token{kind: kind, text: text[i:j]}
+		if kind == tokIdent && (p.macros[cur.text] != nil || cur.text == "__LINE__" || cur.text == "__FILE__") {
+			return dst, false
+		}
+		if prev.text != "" && (space || needSpace(prev, cur)) {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, cur.text...)
+		prev, space, i = cur, false, j
+	}
+	return dst, true
+}
+
+// flush closes the output written since the last piece into a new one.
+func (p *Preprocessor) flush() {
+	if len(p.out) > 0 {
+		p.pieces = append(p.pieces, &Piece{Text: string(p.out)})
+		p.out = p.out[:0]
+	}
+}
+
+// maxDepth is the include nesting limit in effect.
+func (p *Preprocessor) maxDepth() int {
+	if p.MaxDepth == 0 {
+		return 64
+	}
+	return p.MaxDepth
 }
 
 func (p *Preprocessor) processFile(name, content string, depth int) error {
-	maxDepth := p.MaxDepth
-	if maxDepth == 0 {
-		maxDepth = 64
-	}
-	if depth > maxDepth {
+	if depth > p.maxDepth() {
 		return p.errf(name, 1, "#include nesting too deep")
 	}
 	lines := splitLogicalLines(stripComments(content))
@@ -198,14 +321,9 @@ func (p *Preprocessor) processFile(name, content string, depth int) error {
 		if trimmed == "" {
 			continue
 		}
-		toks := lexLine(text, name, ln.line)
-		expanded, err := p.expand(toks, map[string]bool{})
-		if err != nil {
+		if err := p.emit(name, ln.line, text); err != nil {
 			return err
 		}
-		p.marker(ln.line, name)
-		p.out.WriteString(joinTokens(expanded))
-		p.out.WriteByte('\n')
 	}
 	if len(p.condStack) != condBase {
 		return p.errf(name, lines[len(lines)-1].line, "unterminated #if in %s", name)
@@ -223,7 +341,10 @@ func (p *Preprocessor) directive(file string, line int, text string, depth int) 
 		// A GCC-style line marker (`# n "file"`) from already-preprocessed
 		// input: pass it through so positions survive re-preprocessing.
 		if p.live() {
-			fmt.Fprintf(&p.out, "# %s\n", text)
+			p.out = append(p.out, "# "...)
+			p.out = append(p.out, text...)
+			p.out = append(p.out, '\n')
+			p.outLine = 0
 		}
 		return nil
 	}
@@ -268,6 +389,7 @@ func (p *Preprocessor) directive(file string, line int, text string, depth int) 
 		if len(p.condStack) == 0 {
 			return p.errf(file, line, "#elif without #if")
 		}
+		p.touchCond()
 		c := &p.condStack[len(p.condStack)-1]
 		if !c.parentLive || c.taken {
 			c.live = false
@@ -284,6 +406,7 @@ func (p *Preprocessor) directive(file string, line int, text string, depth int) 
 		if len(p.condStack) == 0 {
 			return p.errf(file, line, "#else without #if")
 		}
+		p.touchCond()
 		c := &p.condStack[len(p.condStack)-1]
 		c.live = c.parentLive && !c.taken
 		c.taken = true
@@ -292,6 +415,7 @@ func (p *Preprocessor) directive(file string, line int, text string, depth int) 
 		if len(p.condStack) == 0 {
 			return p.errf(file, line, "#endif without #if")
 		}
+		p.touchCond()
 		p.condStack = p.condStack[:len(p.condStack)-1]
 		return nil
 	}
@@ -308,7 +432,7 @@ func (p *Preprocessor) directive(file string, line int, text string, depth int) 
 		if id == "" {
 			return p.errf(file, line, "#undef expects an identifier")
 		}
-		delete(p.macros, id)
+		p.setMacro(id, nil)
 		return nil
 	case "include":
 		return p.include(rest, file, line, depth)
@@ -316,7 +440,7 @@ func (p *Preprocessor) directive(file string, line int, text string, depth int) 
 		return p.errf(file, line, "#error %s", rest)
 	case "pragma":
 		if strings.TrimSpace(rest) == "once" {
-			p.once[file] = true
+			p.addOnce(file)
 		}
 		return nil
 	case "warning", "ident":
@@ -350,7 +474,7 @@ func (p *Preprocessor) include(rest, file string, line, depth int) error {
 		// two forms above; anything else would re-enter this branch
 		// without end.
 		toks := lexLine(rest, file, line)
-		expanded, err := p.expand(toks, map[string]bool{})
+		expanded, err := p.expand(toks, nil)
 		if err != nil {
 			return err
 		}
@@ -360,11 +484,11 @@ func (p *Preprocessor) include(rest, file string, line, depth int) error {
 		}
 		return p.include(arg, file, line, depth)
 	}
-	content, path, err := p.Loader.Load(name)
+	content, path, err := p.load(name)
 	if err != nil {
 		// Try relative to the including file for "..." includes.
 		if dir := filepath.Dir(file); dir != "." && strings.HasPrefix(rest, "\"") {
-			if c2, p2, err2 := p.Loader.Load(filepath.Join(dir, name)); err2 == nil {
+			if c2, p2, err2 := p.load(filepath.Join(dir, name)); err2 == nil {
 				content, path, err = c2, p2, nil
 			}
 		}
@@ -375,7 +499,7 @@ func (p *Preprocessor) include(rest, file string, line, depth int) error {
 	if p.once[path] {
 		return nil
 	}
-	if err := p.processFile(path, content, depth+1); err != nil {
+	if err := p.includeFile(path, content, depth+1); err != nil {
 		return err
 	}
 	p.marker(line+1, file)
@@ -414,7 +538,8 @@ func (p *Preprocessor) define(rest, file string, line int) error {
 		i++ // skip ')'
 	}
 	m.body = toks[i:]
-	p.macros[m.name] = m
+	m.sum = macroSum(m)
+	p.setMacro(m.name, m)
 	return nil
 }
 
@@ -450,7 +575,7 @@ func (p *Preprocessor) evalCond(expr, file string, line int) (bool, error) {
 		}
 		pre = append(pre, t)
 	}
-	expanded, err := p.expand(pre, map[string]bool{})
+	expanded, err := p.expand(pre, nil)
 	if err != nil {
 		return false, err
 	}
@@ -469,4 +594,26 @@ func (p *Preprocessor) evalCond(expr, file string, line int) (bool, error) {
 		return false, p.errf(file, line, "trailing tokens in #if expression")
 	}
 	return v != 0, nil
+}
+
+// CheckPlainLines checks, for every logical line of src that names no
+// macro beyond the builtins, that the fast rendering the preprocessor
+// writes equals the joinTokens rendering of the expanded tokens. It
+// returns the first line that differs; fuzz targets call it.
+func CheckPlainLines(src string) error {
+	p := New(MapLoader{})
+	for _, ln := range splitLogicalLines(stripComments(src)) {
+		fast, plain := p.plainLine(nil, ln.text)
+		if !plain {
+			continue
+		}
+		expanded, err := p.expand(lexLine(ln.text, "", ln.line), nil)
+		if err != nil {
+			return fmt.Errorf("line %d: plain line fails to expand: %v", ln.line, err)
+		}
+		if slow := joinTokens(expanded); string(fast) != slow {
+			return fmt.Errorf("line %d: fast path wrote %q, token path %q", ln.line, fast, slow)
+		}
+	}
+	return nil
 }

@@ -140,65 +140,65 @@ var puncts = []string{
 func lexLine(s, file string, line int) []token {
 	_ = file
 	var toks []token
-	i := 0
-	n := len(s)
 	space := false
-	for i < n {
-		c := s[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f':
+	for i := 0; i < len(s); {
+		if isHSpace(s[i]) {
 			space = true
 			i++
-		case isIdentStart(c):
-			j := i + 1
-			for j < n && isIdentChar(s[j]) {
-				j++
-			}
-			toks = append(toks, token{kind: tokIdent, text: s[i:j], line: line, spaceBefore: space})
-			space = false
-			i = j
-		case isDigit(c) || (c == '.' && i+1 < n && isDigit(s[i+1])):
-			j := i + 1
-			for j < n && (isIdentChar(s[j]) || s[j] == '.' ||
-				((s[j] == '+' || s[j] == '-') && (s[j-1] == 'e' || s[j-1] == 'E' || s[j-1] == 'p' || s[j-1] == 'P'))) {
-				j++
-			}
-			toks = append(toks, token{kind: tokNumber, text: s[i:j], line: line, spaceBefore: space})
-			space = false
-			i = j
-		case c == '"' || c == '\'':
-			quote := c
-			j := i + 1
-			for j < n && s[j] != quote {
-				if s[j] == '\\' && j+1 < n {
-					j++
-				}
-				j++
-			}
-			if j < n {
-				j++
-			}
-			toks = append(toks, token{kind: tokString, text: s[i:j], line: line, spaceBefore: space})
-			space = false
-			i = j
-		default:
-			matched := false
-			for _, p := range puncts {
-				if strings.HasPrefix(s[i:], p) {
-					toks = append(toks, token{kind: tokPunct, text: p, line: line, spaceBefore: space})
-					i += len(p)
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				toks = append(toks, token{kind: tokPunct, text: string(c), line: line, spaceBefore: space})
-				i++
-			}
-			space = false
+			continue
 		}
+		kind, j := scanToken(s, i)
+		toks = append(toks, token{kind: kind, text: s[i:j], line: line, spaceBefore: space})
+		space = false
+		i = j
 	}
 	return toks
+}
+
+// isHSpace reports whether c is whitespace within a logical line.
+func isHSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f'
+}
+
+// scanToken returns the kind and end of the token that starts at s[i],
+// which is not whitespace.
+func scanToken(s string, i int) (tokenKind, int) {
+	n := len(s)
+	c := s[i]
+	switch {
+	case isIdentStart(c):
+		j := i + 1
+		for j < n && isIdentChar(s[j]) {
+			j++
+		}
+		return tokIdent, j
+	case isDigit(c) || (c == '.' && i+1 < n && isDigit(s[i+1])):
+		j := i + 1
+		for j < n && (isIdentChar(s[j]) || s[j] == '.' ||
+			((s[j] == '+' || s[j] == '-') && (s[j-1] == 'e' || s[j-1] == 'E' || s[j-1] == 'p' || s[j-1] == 'P'))) {
+			j++
+		}
+		return tokNumber, j
+	case c == '"' || c == '\'':
+		quote := c
+		j := i + 1
+		for j < n && s[j] != quote {
+			if s[j] == '\\' && j+1 < n {
+				j++
+			}
+			j++
+		}
+		if j < n {
+			j++
+		}
+		return tokString, j
+	}
+	for _, p := range puncts {
+		if strings.HasPrefix(s[i:], p) {
+			return tokPunct, i + len(p)
+		}
+	}
+	return tokPunct, i + 1
 }
 
 // firstIdent returns the leading identifier of s, or "".
@@ -216,14 +216,18 @@ func firstIdent(s string) string {
 
 // joinTokens renders tokens back to text with minimal separating spaces.
 func joinTokens(toks []token) string {
-	var b strings.Builder
+	return string(appendJoined(nil, toks))
+}
+
+// appendJoined appends the joinTokens rendering of toks to dst.
+func appendJoined(dst []byte, toks []token) []byte {
 	for i, t := range toks {
 		if i > 0 && (t.spaceBefore || needSpace(toks[i-1], t)) {
-			b.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
-		b.WriteString(t.text)
+		dst = append(dst, t.text...)
 	}
-	return b.String()
+	return dst
 }
 
 // needSpace reports whether a space must separate a and b to avoid

@@ -114,6 +114,21 @@ func TestSelfReferentialStruct(t *testing.T) {
 	}
 }
 
+// TestStructContainingItself: a struct with a member of its own type by
+// value is invalid C; checking it must end, sizing the inner use as
+// incomplete.
+func TestStructContainingItself(t *testing.T) {
+	ck := check(t, "struct link { struct link *prev, next; } l; union u { int a; union u b[2]; } v;\nint n = sizeof(struct link);\n")
+	for _, name := range []string{"l", "v"} {
+		if o := objByName(ck, name); o == nil || !o.Type.IsStruct() {
+			t.Fatalf("%s not typed as a struct or union", name)
+		}
+	}
+	if got := Sizeof(objByName(ck, "l").Type); got != 8 {
+		t.Fatalf("sizeof(struct link) = %d, want 8 (the pointer; the inner link is incomplete)", got)
+	}
+}
+
 func TestStructAndUnionTagNamespaces(t *testing.T) {
 	ck := check(t, `
 struct T { int a; };

@@ -12,6 +12,7 @@ package ctypes
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cla/internal/cc"
@@ -202,8 +203,12 @@ func (t *Type) String() string {
 }
 
 // Sizeof computes the size of t with natural alignment, 8-byte pointers.
-// Incomplete types yield 0.
-func Sizeof(t *Type) int {
+// Incomplete types yield 0, and so does a struct met again inside itself
+// (invalid C, but it must not recurse forever).
+func Sizeof(t *Type) int { return sizeof(t, nil) }
+
+// sizeof is Sizeof inside the structs being sized.
+func sizeof(t *Type, outer []*StructInfo) int {
 	if t == nil {
 		return 0
 	}
@@ -216,15 +221,16 @@ func Sizeof(t *Type) int {
 		if t.Len < 0 {
 			return 0
 		}
-		return int(t.Len) * Sizeof(t.Elem)
+		return int(t.Len) * sizeof(t.Elem, outer)
 	case KStruct:
-		if t.Info == nil || !t.Info.Complete {
+		if t.Info == nil || !t.Info.Complete || slices.Contains(outer, t.Info) {
 			return 0
 		}
+		outer = append(outer, t.Info)
 		size, align := 0, 1
 		for i := range t.Info.Fields {
-			fs := Sizeof(t.Info.Fields[i].Type)
-			fa := Alignof(t.Info.Fields[i].Type)
+			fs := sizeof(t.Info.Fields[i].Type, outer)
+			fa := alignof(t.Info.Fields[i].Type, outer)
 			if fa > align {
 				align = fa
 			}
@@ -242,7 +248,10 @@ func Sizeof(t *Type) int {
 }
 
 // Alignof computes natural alignment of t.
-func Alignof(t *Type) int {
+func Alignof(t *Type) int { return alignof(t, nil) }
+
+// alignof is Alignof inside the structs being aligned.
+func alignof(t *Type, outer []*StructInfo) int {
 	if t == nil {
 		return 1
 	}
@@ -256,14 +265,15 @@ func Alignof(t *Type) int {
 		}
 		return 1
 	case KArray:
-		return Alignof(t.Elem)
+		return alignof(t.Elem, outer)
 	case KStruct:
-		if t.Info == nil {
+		if t.Info == nil || slices.Contains(outer, t.Info) {
 			return 1
 		}
+		outer = append(outer, t.Info)
 		a := 1
 		for i := range t.Info.Fields {
-			if fa := Alignof(t.Info.Fields[i].Type); fa > a {
+			if fa := alignof(t.Info.Fields[i].Type, outer); fa > a {
 				a = fa
 			}
 		}

@@ -14,18 +14,44 @@ import (
 // allows no includes). Parse errors abort; type diagnoses do not (legacy C
 // tolerance), matching the paper's robustness requirement.
 func CompileSource(name, src string, loader cpp.Loader, opts Options) (*prim.Program, error) {
+	return NewMemo().CompileSource(name, src, loader, opts)
+}
+
+// Memo shares header work between the units of one compile phase: each
+// header is expanded, lexed and parsed once per key (see cpp.Memo and
+// cc.Memo) and its output, tokens and file-scope declarations are
+// spliced into every unit that includes it. Type checking and lowering
+// stay per unit, so a unit's database is the same with or without other
+// units sharing the memo. A Memo is safe for concurrent use; drop it
+// when the phase ends, since it holds the syntax of every header
+// included twice in the same state.
+type Memo struct {
+	cpp *cpp.Memo
+	cc  *cc.Memo
+}
+
+// NewMemo returns an empty memo.
+func NewMemo() *Memo { return &Memo{cpp: cpp.NewMemo(), cc: cc.NewMemo()} }
+
+// CompileSource is the package-level CompileSource sharing m.
+func (m *Memo) CompileSource(name, src string, loader cpp.Loader, opts Options) (*prim.Program, error) {
 	if loader == nil {
 		loader = cpp.MapLoader{}
 	}
 	pp := cpp.New(loader)
+	pp.Memo = m.cpp
 	for k, v := range opts.Defines {
 		pp.Define(k, v)
 	}
-	expanded, err := pp.Preprocess(name, src)
+	pieces, err := pp.PreprocessPieces(name, src)
 	if err != nil {
 		return nil, fmt.Errorf("preprocess %s: %w", name, err)
 	}
-	unit, err := cc.Parse(name, expanded)
+	chunks := make([]cc.Chunk, len(pieces))
+	for i, pc := range pieces {
+		chunks[i] = cc.Chunk{Text: pc.Text, Shared: pc.Shared}
+	}
+	unit, err := cc.ParseChunks(name, chunks, m.cc)
 	if err != nil {
 		return nil, fmt.Errorf("parse %s: %w", name, err)
 	}

@@ -439,6 +439,9 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 	if len(dirtyIdx) > 0 {
 		sp := o.Start("compile")
 		loader := cpp.OSLoader{Dirs: append([]string{p.cfg.Dir}, p.cfg.Includes...)}
+		// One header memo per phase, shared by the workers and dropped
+		// when the phase returns: nothing is kept between refreshes.
+		memo := frontend.NewMemo()
 		var hits atomic.Int64
 		err := parallel.ForEachCtx(ctx, p.cfg.Jobs, len(dirtyIdx), func(k int) error {
 			i := dirtyIdx[k]
@@ -457,7 +460,7 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 			if err != nil {
 				return fmt.Errorf("incr: compile %s: %w", path, err)
 			}
-			prog, err := frontend.CompileSource(rpath, content, tl, p.cfg.Frontend)
+			prog, err := memo.CompileSource(rpath, content, tl, p.cfg.Frontend)
 			if err != nil {
 				return fmt.Errorf("incr: compile %s: %w", path, err)
 			}

@@ -538,3 +538,99 @@ int *counter_addr(void) { return &shadow; }
 		t.Fatal("WatchLoop never caught up with the pre-baseline edit")
 	}
 }
+
+// memoTree exercises the header memo a compile phase shares between
+// units: a.c, b.c and e.c include outer.h, which includes inner.h; c.c
+// and c2.c include keyed.h after defining its macros one way, d.c after
+// defining them another. The memo records an include the second time
+// its key is seen, so a third unit in file order is served from it.
+var memoTree = map[string]string{
+	"inner.h": "extern int inner_obj;\n",
+	"outer.h": "#ifndef OUTER_H\n#define OUTER_H\n#include \"inner.h\"\nextern int *outer_ptr;\n#endif\n",
+	"keyed.h": "int *PTR = &TARGET;\n",
+	"a.c":     "#include \"outer.h\"\nint inner_obj;\nint *outer_ptr = &inner_obj;\n",
+	"b.c":     "#include \"outer.h\"\n#include \"outer.h\"\nint *b_ptr = &inner_obj;\n",
+	"c.c":     "#define PTR c_ptr\n#define TARGET c_obj\nint c_obj;\n#include \"keyed.h\"\n",
+	"c2.c":    "#define PTR c_ptr\n#define TARGET c_obj\nint c_obj;\n#include \"keyed.h\"\n",
+	"d.c":     "#define PTR d_ptr\n#define TARGET d_obj\nint d_obj;\n#include \"keyed.h\"\n",
+	"e.c":     "#include \"outer.h\"\nint *e_ptr = &inner_obj;\n",
+}
+
+// pointsTo returns the names the named symbol points to.
+func pointsTo(res *Result, name string) []string {
+	var out []string
+	for id := range res.Prog.Syms {
+		if res.Prog.Syms[id].Name != name {
+			continue
+		}
+		for _, o := range res.Res.PointsTo(prim.SymID(id)) {
+			out = append(out, res.Prog.Syms[o].Name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestHeaderMemoKeepsNestedDeps: a unit that gets outer.h from the memo
+// still depends on the inner.h it includes, so editing inner.h
+// recompiles every unit that includes it.
+func TestHeaderMemoKeepsNestedDeps(t *testing.T) {
+	for _, jobs := range []int{1, 8} {
+		t.Run(fmt.Sprintf("j%d", jobs), func(t *testing.T) {
+			dir := t.TempDir()
+			writeTree(t, dir, memoTree)
+			cfg := testConfig(dir)
+			cfg.Jobs = jobs
+			p, err := Open(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"a.c", "b.c", "e.c"} {
+				var deps []string
+				for _, d := range p.units[filepath.Join(dir, name)].deps {
+					deps = append(deps, filepath.Base(d.path))
+				}
+				if got := strings.Join(deps, " "); got != name+" inner.h outer.h" {
+					t.Fatalf("%s deps = %q, want the unit, inner.h and outer.h", name, got)
+				}
+			}
+			inner := edit(t, dir, "inner.h", "extern int inner_obj;\nextern int inner_two;\n")
+			res, st, err := p.Update(context.Background(), inner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Recompiled != 3 || st.Reused != 3 {
+				t.Fatalf("stats = %+v, want exactly a.c, b.c and e.c recompiled", st)
+			}
+			if got, want := fingerprint(res.Prog, res.Res), scratchFingerprint(t, cfg); got != want {
+				t.Fatalf("incremental %s != scratch %s", got, want)
+			}
+		})
+	}
+}
+
+// TestHeaderMemoKeysOnMacros: two units that define keyed.h's macros
+// differently each get their own expansion of it.
+func TestHeaderMemoKeysOnMacros(t *testing.T) {
+	for _, jobs := range []int{1, 8} {
+		t.Run(fmt.Sprintf("j%d", jobs), func(t *testing.T) {
+			dir := t.TempDir()
+			writeTree(t, dir, memoTree)
+			cfg := testConfig(dir)
+			cfg.Jobs = jobs
+			p, err := Open(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := p.Current()
+			for ptr, want := range map[string]string{"c_ptr": "c_obj", "d_ptr": "d_obj", "outer_ptr": "inner_obj", "b_ptr": "inner_obj", "e_ptr": "inner_obj"} {
+				if got := pointsTo(res, ptr); len(got) != 1 || got[0] != want {
+					t.Errorf("%s -> %v, want {%s}", ptr, got, want)
+				}
+			}
+			if got, want := fingerprint(res.Prog, res.Res), scratchFingerprint(t, cfg); got != want {
+				t.Fatalf("open %s != scratch %s", got, want)
+			}
+		})
+	}
+}

@@ -48,6 +48,13 @@ type Metric struct {
 	Value int64
 }
 
+// MaxEvents bounds the closed spans an observer retains. Past it, each
+// newly closed span replaces the oldest one and the obs.spans_dropped
+// counter counts the loss, so the observer of a long-running server stays
+// bounded. Children close before their parents, so the oldest spans go
+// first and what remains still nests.
+const MaxEvents = 1 << 14
+
 // Observer collects the instrumentation of one pipeline run. All methods
 // are safe for concurrent use, and all methods on a nil *Observer are
 // allocation-free no-ops.
@@ -56,7 +63,8 @@ type Observer struct {
 	memStats bool
 
 	mu     sync.Mutex
-	events []Event
+	events []Event // a ring once it holds MaxEvents
+	oldest int     // index of the oldest event in a full ring
 	open   int
 
 	cmu      sync.Mutex
@@ -155,10 +163,20 @@ func (sp *Span) End() {
 		runtime.ReadMemStats(&ms)
 		e.Alloc = int64(ms.TotalAlloc - sp.alloc)
 	}
-	sp.o.mu.Lock()
-	sp.o.events = append(sp.o.events, e)
-	sp.o.open--
-	sp.o.mu.Unlock()
+	o := sp.o
+	o.mu.Lock()
+	full := len(o.events) == MaxEvents
+	if full {
+		o.events[o.oldest] = e
+		o.oldest = (o.oldest + 1) % len(o.events)
+	} else {
+		o.events = append(o.events, e)
+	}
+	o.open--
+	o.mu.Unlock()
+	if full {
+		o.Counter("obs.spans_dropped").Inc()
+	}
 }
 
 // Counter is a monotonically written atomic counter. The nil *Counter

@@ -226,3 +226,40 @@ func TestFmtBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanRetentionIsBounded runs more refresh-shaped span groups than
+// the observer retains: the event count stays at the cap, the loss is
+// counted, the newest spans survive and the trace still nests.
+func TestSpanRetentionIsBounded(t *testing.T) {
+	o := New()
+	const perRefresh, refreshes = 4, MaxEvents/4 + 1000
+	for i := 0; i < refreshes; i++ {
+		root := o.Start("refresh")
+		o.Start("compile").End()
+		u := o.StartTrack(1, "unit u.c")
+		u.Child("parse").End()
+		u.End()
+		root.End()
+	}
+	evs := o.Events()
+	if len(evs) != MaxEvents {
+		t.Fatalf("retained %d events, want the cap %d", len(evs), MaxEvents)
+	}
+	if got, want := o.Counter("obs.spans_dropped").Value(), int64(perRefresh*refreshes-MaxEvents); got != want {
+		t.Fatalf("obs.spans_dropped = %d, want %d", got, want)
+	}
+	// The last span closed is the last refresh root, which must be kept.
+	last := evs[0]
+	for _, e := range evs {
+		if e.End > last.End {
+			last = e
+		}
+	}
+	if last.Name != "refresh" {
+		t.Fatalf("newest retained span = %q, want the last refresh", last.Name)
+	}
+	var buf bytes.Buffer
+	if err := o.WriteTrace(&buf); err != nil {
+		t.Fatalf("trace of a wrapped ring: %v", err)
+	}
+}

@@ -60,6 +60,18 @@ func Bytes(b []byte) string { return Render(Fold(offset, b)) }
 // String fingerprints string content as 16 hex digits.
 func String(s string) string { return Render(FoldString(offset, s)) }
 
+// Mix spreads a folded state's bits (the splitmix64 finalizer), for
+// digests of a set that xor one mixed hash per element: unmixed FNV
+// states would let structure in the elements cancel.
+func Mix(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
+}
+
 // Render formats a folded state the way Bytes does, for callers that
 // fold incrementally.
 func Render(h uint64) string {
