@@ -7,39 +7,52 @@ import (
 	"cla/internal/claerr"
 	"cla/internal/core"
 	"cla/internal/depend"
+	"cla/internal/driver"
 	"cla/internal/extmodel"
 	"cla/internal/objfile"
 	"cla/internal/obs"
 	"cla/internal/prim"
 	"cla/internal/pts"
-	"cla/internal/pts/bitvec"
-	"cla/internal/pts/onelevel"
-	"cla/internal/pts/steens"
-	"cla/internal/pts/worklist"
 	"cla/internal/snapfile"
 )
 
 // Algorithm selects a points-to solver.
 type Algorithm int
 
-// Solver algorithms.
+// Solver algorithms. Each is the internal solver of the same number, so
+// every entry point dispatches, names and parses them through one table.
 const (
 	// PreTransitive is the paper's pre-transitive graph algorithm with
 	// cached reachability and cycle elimination (the default).
-	PreTransitive Algorithm = iota
+	PreTransitive = Algorithm(driver.PreTransitive)
 	// WorklistAndersen is the classic transitively-closed baseline.
-	WorklistAndersen
+	WorklistAndersen = Algorithm(driver.Worklist)
 	// SteensgaardUnify is the unification-based baseline.
-	SteensgaardUnify
+	SteensgaardUnify = Algorithm(driver.Steensgaard)
 	// BitVectorAndersen is Andersen's analysis over dense bit-vector
 	// sets, another subset-based implementation built on the same
 	// database (Section 4 of the paper).
-	BitVectorAndersen
+	BitVectorAndersen = Algorithm(driver.BitVector)
 	// OneLevelFlow is Das's hybrid (PLDI 2000, the paper's reference
 	// [8]): directional subset edges at the top level of the points-to
 	// graph, unification below it.
-	OneLevelFlow
+	OneLevelFlow = Algorithm(driver.OneLevel)
 )
+
+// String returns the solver's canonical label ("pre-transitive",
+// "worklist", "steensgaard", "bitvec", "one-level"), the one snapshots
+// record.
+func (a Algorithm) String() string { return driver.Solver(a).String() }
+
+// parseAlgorithm maps a recorded solver label back to an Algorithm;
+// unknown labels fall back to the default.
+func parseAlgorithm(name string) Algorithm {
+	s, err := driver.ParseSolver(name)
+	if err != nil {
+		return PreTransitive
+	}
+	return Algorithm(s)
+}
 
 // ExtModel selects how undefined externals are treated, making the
 // analysis sound on incomplete programs (libraries, single modules,
@@ -153,6 +166,8 @@ func (o *AnalyzeOptions) algorithm() Algorithm {
 	}
 	return o.Algorithm
 }
+
+func (o *AnalyzeOptions) solver() driver.Solver { return driver.Solver(o.algorithm()) }
 
 func (o *AnalyzeOptions) extModel() ExtModel {
 	if o == nil {
@@ -282,46 +297,7 @@ func (a *Analysis) Close() error {
 }
 
 func solve(ctx context.Context, src pts.Source, opts *AnalyzeOptions) (pts.Result, error) {
-	alg := PreTransitive
-	if opts != nil {
-		alg = opts.Algorithm
-	}
-	o := opts.observer()
-	sp := o.Start("analyze")
-	res, err := solveAlg(ctx, src, opts, alg)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Metrics().Publish(o)
-	return res, nil
-}
-
-func solveAlg(ctx context.Context, src pts.Source, opts *AnalyzeOptions, alg Algorithm) (pts.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	switch alg {
-	case PreTransitive:
-		return core.SolveCtx(ctx, src, opts.coreConfig())
-	case WorklistAndersen:
-		jobs := 0
-		if opts != nil {
-			jobs = opts.Jobs
-		}
-		return worklist.SolveJobsCtx(ctx, src, jobs)
-	case SteensgaardUnify:
-		return steens.Solve(src)
-	case BitVectorAndersen:
-		jobs := 0
-		if opts != nil {
-			jobs = opts.Jobs
-		}
-		return bitvec.SolveJobs(src, jobs)
-	case OneLevelFlow:
-		return onelevel.Solve(src)
-	}
-	return nil, claerr.Newf(claerr.PhaseUsage, "unknown algorithm %d", alg)
+	return driver.Analyze(ctx, src, opts.solver(), opts.coreConfig(), opts.observer())
 }
 
 // Database returns the analyzed database.

@@ -1,6 +1,9 @@
 package cla
 
 import (
+	"context"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -223,6 +226,33 @@ func TestCompileDirAndIncludes(t *testing.T) {
 	}
 	if got := names(an.PointsToName("p")); len(got) != 1 || got[0] != "g" {
 		t.Errorf("pts(p) = %v", got)
+	}
+}
+
+// TestCompileDirMissing checks that a missing directory surfaces as
+// fs.ErrNotExist from both directory entry points.
+func TestCompileDirMissing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "missing")
+	if _, err := CompileDir(dir, nil); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("CompileDir: error = %v, want fs.ErrNotExist", err)
+	}
+	if _, err := OpenWorkspace(context.Background(), dir, nil); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("OpenWorkspace: error = %v, want fs.ErrNotExist", err)
+	}
+}
+
+// TestCompileDirEmpty checks that a directory holding no .c file (only
+// other files) is an error naming the cause, from both directory entry
+// points.
+func TestCompileDirEmpty(t *testing.T) {
+	dir := t.TempDir()
+	os.WriteFile(filepath.Join(dir, "note.txt"), []byte("not C"), 0o644)
+	os.WriteFile(filepath.Join(dir, "defs.h"), []byte("extern int g;\n"), 0o644)
+	if _, err := CompileDir(dir, nil); err == nil || !strings.Contains(err.Error(), "no .c files") {
+		t.Errorf("CompileDir: error = %v, want no .c files", err)
+	}
+	if _, err := OpenWorkspace(context.Background(), dir, nil); err == nil || !strings.Contains(err.Error(), "no .c files") {
+		t.Errorf("OpenWorkspace: error = %v, want no .c files", err)
 	}
 }
 

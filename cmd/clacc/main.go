@@ -9,21 +9,21 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 
 	"cla/internal/cpp"
 	"cla/internal/driver"
 	"cla/internal/frontend"
+	"cla/internal/incr"
 	"cla/internal/linker"
 	"cla/internal/objfile"
 	"cla/internal/obs"
 	"cla/internal/parallel"
-	"cla/internal/prim"
 )
 
 type stringList []string
@@ -76,41 +76,16 @@ func main() {
 		}
 		opts.Defines[name] = val
 	}
-	loader := cpp.OSLoader{Dirs: includes}
-
-	var cache *driver.Cache
-	if *cacheDir != "" {
-		var err error
-		cache, err = driver.NewCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clacc: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	compileOne := func(in string) (*prim.Program, error) {
-		if cache != nil {
-			return cache.CompileUnit(in, loader, opts)
-		}
-		return frontend.CompileFile(in, loader, opts)
-	}
-
-	// Fan the independent unit compiles out across -j workers; results
-	// land in argument order and the lowest-numbered failure wins, so the
-	// behaviour matches a sequential loop.
-	csp := o.Start("compile")
-	o.SetCounter("compile.units", int64(flag.NArg()))
-	progs := make([]*prim.Program, flag.NArg())
-	if err := parallel.ForEach(*jobs, flag.NArg(), func(i int) error {
-		usp := o.StartTrack(i+1, "unit "+filepath.Base(flag.Arg(i)))
-		defer usp.End()
-		p, err := compileOne(flag.Arg(i))
-		progs[i] = p
-		return err
-	}); err != nil {
+	// The unit compiles fan out across -j workers; results land in
+	// argument order and the lowest-numbered failure wins, so the
+	// behaviour matches a sequential loop. -cache serves units whose
+	// include closure is unchanged from the unit store.
+	cfg := incr.Config{Frontend: opts, Jobs: *jobs, CacheDir: *cacheDir, Obs: o}
+	progs, err := incr.Compile(context.Background(), cfg, flag.Args(), cpp.OSLoader{Dirs: includes})
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "clacc: %v\n", err)
 		os.Exit(1)
 	}
-	csp.End()
 	wsp := o.Start("write")
 	for i, in := range flag.Args() {
 		if *out == "" {
@@ -125,7 +100,6 @@ func main() {
 	if *out != "" {
 		merged := progs[0]
 		if len(progs) > 1 {
-			var err error
 			merged, err = linker.LinkParallelObs(progs, *jobs, o)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "clacc: %v\n", err)

@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -40,6 +41,8 @@ import (
 	"cla/internal/driver"
 	"cla/internal/extmodel"
 	"cla/internal/frontend"
+	"cla/internal/incr"
+	"cla/internal/linker"
 	"cla/internal/objfile"
 	"cla/internal/obs"
 	"cla/internal/parallel"
@@ -111,7 +114,7 @@ func run() int {
 
 	cfg := core.DefaultConfig()
 	cfg.Jobs = *jobs
-	res, err := driver.AnalyzeObs(pts.NewMemSource(prog), solver, cfg, o)
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(prog), solver, cfg, o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "clalint: %v\n", err)
 		return 2
@@ -216,7 +219,7 @@ func loadProgram(args []string, includes, defines string, jobs int, o *obs.Obser
 			return nil, err
 		}
 		if info.IsDir() {
-			return driver.CompileDirObs(args[0], opts, jobs, o)
+			return incr.CompileDir(context.Background(), incr.Config{Dir: args[0], Frontend: opts, Jobs: jobs, Obs: o})
 		}
 		if filepath.Ext(args[0]) != ".c" {
 			sp := o.Start("read")
@@ -234,5 +237,9 @@ func loadProgram(args []string, includes, defines string, jobs int, o *obs.Obser
 			return nil, fmt.Errorf("%s: expected .c files (or a single directory or database)", a)
 		}
 	}
-	return driver.CompileUnitsObs(args, cpp.OSLoader{Dirs: dirs}, opts, jobs, o)
+	progs, err := incr.Compile(context.Background(), incr.Config{Frontend: opts, Jobs: jobs, Obs: o}, args, cpp.OSLoader{Dirs: dirs})
+	if err != nil {
+		return nil, err
+	}
+	return linker.LinkParallelObs(progs, jobs, o)
 }

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"cla"
+	"cla/internal/driver"
 )
 
 func main() {
@@ -62,7 +63,7 @@ func run() int {
 	}
 	dir := flag.Arg(0)
 
-	alg, err := parseAlgorithm(*solverName)
+	solver, err := driver.ParseSolver(*solverName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "clawatch: %v\n", err)
 		return 2
@@ -73,7 +74,7 @@ func run() int {
 		return 2
 	}
 	opts := &cla.WorkspaceOptions{
-		Algorithm: alg,
+		Algorithm: cla.Algorithm(solver),
 		ExtModel:  model,
 		Jobs:      *jobs,
 		CacheDir:  *cacheDir,
@@ -147,22 +148,4 @@ func lint(ctx context.Context, a *cla.Analysis, checks []string) (int, error) {
 		fmt.Println(l)
 	}
 	return len(findings), nil
-}
-
-// parseAlgorithm maps the CLI solver names (shared with clalint and
-// claserve) onto the public Algorithm constants.
-func parseAlgorithm(name string) (cla.Algorithm, error) {
-	switch name {
-	case "", "pretrans":
-		return cla.PreTransitive, nil
-	case "worklist":
-		return cla.WorklistAndersen, nil
-	case "steens":
-		return cla.SteensgaardUnify, nil
-	case "bitvec":
-		return cla.BitVectorAndersen, nil
-	case "onelevel":
-		return cla.OneLevelFlow, nil
-	}
-	return cla.PreTransitive, fmt.Errorf("unknown solver %q (want pretrans, worklist, steens, bitvec or onelevel)", name)
 }

@@ -8,6 +8,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -15,9 +16,12 @@ import (
 	"time"
 
 	"cla/internal/core"
+	"cla/internal/cpp"
 	"cla/internal/driver"
 	"cla/internal/frontend"
 	"cla/internal/gen"
+	"cla/internal/incr"
+	"cla/internal/linker"
 	"cla/internal/objfile"
 	"cla/internal/prim"
 	"cla/internal/pts"
@@ -38,17 +42,27 @@ type Workload struct {
 	CompileTime time.Duration
 }
 
+// compileUnits compiles units through the one compile path and links
+// them (jobs <= 0 means GOMAXPROCS); the output is identical at any jobs.
+func compileUnits(units []string, loader cpp.Loader, opts frontend.Options, jobs int) (*prim.Program, error) {
+	progs, err := incr.Compile(context.Background(), incr.Config{Frontend: opts, Jobs: jobs}, units, loader)
+	if err != nil {
+		return nil, err
+	}
+	return linker.LinkParallel(progs, jobs)
+}
+
 // BuildWorkload generates and compiles one profile at the given scale.
 func BuildWorkload(p gen.Profile, scale float64, seed int64) (*Workload, error) {
 	sp := p.Scale(scale)
 	code := gen.Generate(sp, seed)
 	start := time.Now()
-	fb, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldBased})
+	fb, err := compileUnits(code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldBased}, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
 	compileTime := time.Since(start)
-	fi, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldIndependent})
+	fi, err := compileUnits(code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldIndependent}, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
@@ -311,7 +325,7 @@ func RunSolvers(w *Workload) ([]RowSolver, error) {
 	for _, solver := range Solvers {
 		src := pts.NewMemSource(w.FieldBased)
 		start := time.Now()
-		res, err := driver.Analyze(src, solver, core.DefaultConfig())
+		res, err := driver.Analyze(context.Background(), src, solver, core.DefaultConfig(), nil)
 		if err != nil {
 			return nil, err
 		}

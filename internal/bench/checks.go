@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -43,7 +44,7 @@ func RunChecks(w *Workload, jobs int) (RowChecks, error) {
 	cfg := core.DefaultConfig()
 	cfg.Jobs = jobs
 	start := time.Now()
-	res, err := driver.Analyze(pts.NewMemSource(w.FieldBased), driver.PreTransitive, cfg)
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(w.FieldBased), driver.PreTransitive, cfg, nil)
 	if err != nil {
 		return row, fmt.Errorf("%s: %w", w.Profile.Name, err)
 	}

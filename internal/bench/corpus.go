@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -13,7 +14,7 @@ import (
 	"cla/internal/core"
 	"cla/internal/driver"
 	"cla/internal/extmodel"
-	"cla/internal/frontend"
+	"cla/internal/incr"
 	"cla/internal/prim"
 	"cla/internal/pts"
 )
@@ -83,7 +84,7 @@ func RunCorpus(dir string, jobs int) ([]RowCorpus, error) {
 		return nil, err
 	}
 	start := time.Now()
-	base, err := driver.CompileDirJobs(dir, frontend.Options{}, jobs)
+	base, err := incr.CompileDir(context.Background(), incr.Config{Dir: dir, Jobs: jobs})
 	if err != nil {
 		return nil, fmt.Errorf("corpus %s: %w", dir, err)
 	}
@@ -114,7 +115,7 @@ func RunCorpus(dir string, jobs int) ([]RowCorpus, error) {
 		cfg := core.DefaultConfig()
 		cfg.Jobs = jobs
 		start = time.Now()
-		res, err := driver.Analyze(pts.NewMemSource(prog), driver.PreTransitive, cfg)
+		res, err := driver.Analyze(context.Background(), pts.NewMemSource(prog), driver.PreTransitive, cfg, nil)
 		if err != nil {
 			return nil, fmt.Errorf("corpus %s/%s: %w", dir, m, err)
 		}

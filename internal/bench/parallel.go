@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cla/internal/core"
-	"cla/internal/driver"
 	"cla/internal/frontend"
 	"cla/internal/gen"
 	"cla/internal/objfile"
@@ -70,13 +69,13 @@ func RunParallel(p gen.Profile, scale float64, seed int64, jobs int) (RowParalle
 
 	opts := frontend.Options{Mode: frontend.FieldBased}
 	start := time.Now()
-	seqDB, err := driver.CompileUnitsJobs(code.Units(), code.Loader(), opts, 1)
+	seqDB, err := compileUnits(code.Units(), code.Loader(), opts, 1)
 	if err != nil {
 		return row, fmt.Errorf("%s: %w", p.Name, err)
 	}
 	row.SeqCompile = time.Since(start)
 	start = time.Now()
-	parDB, err := driver.CompileUnitsJobs(code.Units(), code.Loader(), opts, jobs)
+	parDB, err := compileUnits(code.Units(), code.Loader(), opts, jobs)
 	if err != nil {
 		return row, fmt.Errorf("%s: %w", p.Name, err)
 	}

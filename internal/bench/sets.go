@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -49,7 +50,7 @@ func measureSolve(w *Workload, solver driver.Solver, jobs int) (time.Duration, u
 	runtime.ReadMemStats(&m0)
 
 	start := time.Now()
-	res, err := driver.Analyze(src, solver, cfg)
+	res, err := driver.Analyze(context.Background(), src, solver, cfg, nil)
 	elapsed := time.Since(start)
 	if err != nil {
 		return 0, 0, 0, 0, err

@@ -71,7 +71,7 @@ func RunSnapshot(w *Workload, jobs int) ([]RowSnapshot, error) {
 	// Build the shared .snap artifact (not timed: this is clasnap's job,
 	// paid once at build time, amortized across every cold start).
 	src := pts.NewMemSource(w.FieldBased)
-	res, err := driver.Analyze(src, driver.PreTransitive, cfg)
+	res, err := driver.Analyze(context.Background(), src, driver.PreTransitive, cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Profile.Name, err)
 	}
@@ -107,7 +107,7 @@ func RunSnapshot(w *Workload, jobs int) ([]RowSnapshot, error) {
 	live.ParseTime = w.CompileTime
 	start := time.Now()
 	lsrc := pts.NewMemSource(w.FieldBased)
-	lres, err := driver.Analyze(lsrc, driver.PreTransitive, cfg)
+	lres, err := driver.Analyze(context.Background(), lsrc, driver.PreTransitive, cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Profile.Name, err)
 	}

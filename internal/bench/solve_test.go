@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,7 +30,7 @@ func solveAt(t *testing.T, w *Workload, solver driver.Solver, jobs int) solveOut
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Jobs = jobs
-	res, err := driver.Analyze(pts.NewMemSource(w.FieldBased), solver, cfg)
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(w.FieldBased), solver, cfg, nil)
 	if err != nil {
 		t.Fatalf("%s -j%d: %v", solver, jobs, err)
 	}

@@ -2,6 +2,7 @@ package checks
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ func compile(t *testing.T, src string) *prim.Program {
 // solve runs the named solver over prog.
 func solve(t *testing.T, prog *prim.Program, s driver.Solver) pts.Result {
 	t.Helper()
-	res, err := driver.AnalyzeProgram(prog, s, core.DefaultConfig())
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(prog), s, core.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatalf("solve %v: %v", s, err)
 	}
@@ -388,7 +389,7 @@ int x;
 int *wild;
 void boom(void) { *wild = x; }
 `, nil, frontend.Options{})
-	res, _ := driver.AnalyzeProgram(prog, driver.PreTransitive, core.DefaultConfig())
+	res, _ := driver.Analyze(context.Background(), pts.NewMemSource(prog), driver.PreTransitive, core.DefaultConfig(), nil)
 	rep, _ := Run(prog, res, Options{})
 	rep.Format(os.Stdout)
 	// Output:

@@ -2,6 +2,7 @@ package checks
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,8 +12,10 @@ import (
 	"cla/internal/driver"
 	"cla/internal/frontend"
 	"cla/internal/gen"
+	"cla/internal/incr"
 	"cla/internal/linker"
 	"cla/internal/prim"
+	"cla/internal/pts"
 )
 
 // exampleSource extracts the embedded C program from the funcpointers
@@ -121,9 +124,13 @@ func TestGoldenFuncpointers(t *testing.T) {
 func TestDeterminismAcrossJobs(t *testing.T) {
 	profile := gen.Table2[0].Scale(0.05) // small nethack-shaped workload
 	code := gen.Generate(profile, 42)
-	prog, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{})
+	progs, err := incr.Compile(context.Background(), incr.Config{}, code.Units(), code.Loader())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
+	}
+	prog, err := linker.Link(progs)
+	if err != nil {
+		t.Fatalf("link: %v", err)
 	}
 	res := solve(t, prog, driver.PreTransitive)
 
@@ -185,7 +192,7 @@ void drive(void) { cb(); }
 	if err != nil {
 		t.Fatalf("link: %v", err)
 	}
-	res, err := driver.AnalyzeProgram(prog, driver.PreTransitive, core.DefaultConfig())
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(prog), driver.PreTransitive, core.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}

@@ -117,6 +117,7 @@ type Preprocessor struct {
 	onceSum   uint64          // xor of the once paths' hashes
 	condStack []condState
 	expandDep int
+	lineToks  int    // tokens scanned expanding the current line
 	curFile   string // file currently being expanded, for __FILE__
 
 	out     []byte   // output since the last piece

@@ -1,8 +1,11 @@
 package cpp
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // pp runs the preprocessor on src and returns output with line markers and
@@ -88,6 +91,36 @@ func TestMutuallyRecursiveMacros(t *testing.T) {
 	// Expansion must terminate; result is A or B depending on hide sets.
 	if got != "int A;" && got != "int B;" {
 		t.Errorf("got %q", got)
+	}
+}
+
+// doublingChain defines A0 as one token and each Ai as two copies of
+// A(i-1), then uses A(levels): one line that would expand to 2^levels
+// tokens.
+func doublingChain(levels int) string {
+	var b strings.Builder
+	b.WriteString("#define A0 x\n")
+	for i := 1; i <= levels; i++ {
+		fmt.Fprintf(&b, "#define A%d A%d A%d\n", i, i-1, i-1)
+	}
+	fmt.Fprintf(&b, "int A%d;\n", levels)
+	return b.String()
+}
+
+func TestExponentialExpansionCapped(t *testing.T) {
+	start := time.Now()
+	err := ppErr(t, doublingChain(40))
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("40-level chain took %v to fail", d)
+	}
+	var pe *Error
+	if !errors.As(err, &pe) || pe.File != "test.c" || pe.Line != 42 ||
+		!strings.Contains(pe.Msg, "macro expansion exceeds") {
+		t.Fatalf("error = %v, want a positioned expansion-cap error at test.c:42", err)
+	}
+	// Below the cap the same shape still expands in full.
+	if got := pp(t, doublingChain(10), nil); strings.Count(got, "x") != 1<<10 {
+		t.Errorf("10-level chain: %d copies of x, want %d", strings.Count(got, "x"), 1<<10)
 	}
 }
 

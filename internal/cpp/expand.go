@@ -9,6 +9,13 @@ import (
 // the hide-set mechanism.
 const maxExpandDepth = 512
 
+// maxLineTokens bounds the tokens the macro expansion of one source line
+// may scan: its output plus every macro name and argument on the way.
+// Macros that each use the previous one twice double a line per level,
+// so without a bound a few hundred bytes of defines expand exponentially
+// in time and memory.
+const maxLineTokens = 1 << 15
+
 // expand performs macro expansion over toks. hidden is the set of macro
 // names not eligible for expansion (painted blue) in this context.
 func (p *Preprocessor) expand(toks []token, hidden map[string]bool) ([]token, error) {
@@ -17,10 +24,16 @@ func (p *Preprocessor) expand(toks []token, hidden map[string]bool) ([]token, er
 	if p.expandDep > maxExpandDepth {
 		return nil, fmt.Errorf("cpp: macro expansion too deep")
 	}
+	if p.expandDep == 1 {
+		p.lineToks = 0
+	}
 
 	var out []token
 	for i := 0; i < len(toks); i++ {
 		t := toks[i]
+		if p.lineToks++; p.lineToks > maxLineTokens {
+			return nil, p.errf(p.curFile, t.line, "macro expansion exceeds %d tokens", maxLineTokens)
+		}
 		if t.kind != tokIdent || hidden[t.text] {
 			out = append(out, t)
 			continue

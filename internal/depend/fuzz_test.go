@@ -2,6 +2,7 @@ package depend
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -9,9 +10,9 @@ import (
 
 	"cla/internal/core"
 	"cla/internal/cpp"
-	"cla/internal/driver"
-	"cla/internal/frontend"
 	"cla/internal/gen"
+	"cla/internal/incr"
+	"cla/internal/linker"
 	"cla/internal/objfile"
 	"cla/internal/prim"
 	"cla/internal/pts"
@@ -35,20 +36,27 @@ func fuzzProgram(t *testing.T, which uint8, seed int64, scale uint8) *prim.Progr
 	i := int(which) % n
 	if i < len(gen.Table2) {
 		code := gen.Generate(gen.Table2[i].Scale(0.002*float64(1+scale%8)), seed)
-		p, err := driver.CompileUnitsJobs(code.Units(), code.Loader(), frontend.Options{}, 1)
-		if err != nil {
-			t.Fatalf("compile %s: %v", gen.Table2[i].Name, err)
-		}
-		return p
+		return compileUnits(t, code.Units(), code.Loader())
 	}
 	ex := exampleTrees[i-len(gen.Table2)]
 	var units []string
 	for _, u := range ex.units {
 		units = append(units, filepath.Join(ex.dirs[0], u))
 	}
-	p, err := driver.CompileUnitsJobs(units, cpp.OSLoader{Dirs: ex.dirs}, frontend.Options{}, 1)
+	return compileUnits(t, units, cpp.OSLoader{Dirs: ex.dirs})
+}
+
+// compileUnits compiles units through the one compile path on one
+// worker and links them.
+func compileUnits(t *testing.T, units []string, loader cpp.Loader) *prim.Program {
+	t.Helper()
+	progs, err := incr.Compile(context.Background(), incr.Config{Jobs: 1}, units, loader)
 	if err != nil {
 		t.Fatalf("compile %v: %v", units, err)
+	}
+	p, err := linker.Link(progs)
+	if err != nil {
+		t.Fatalf("link %v: %v", units, err)
 	}
 	return p
 }

@@ -1,22 +1,16 @@
-// Package driver orchestrates the CLA pipeline end to end — compile each
-// translation unit, link the databases, run an analysis — for the command
-// line tools, the examples and the benchmark harness.
+// Package driver is the analyze phase's solver dispatch: it names the
+// points-to algorithms (one name table behind every -solver flag and
+// snapshot label) and runs the selected one over a constraint source,
+// plus the report sections the command-line tools print. Compilation
+// goes through internal/incr, the one compile path.
 package driver
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 
 	"cla/internal/core"
-	"cla/internal/cpp"
-	"cla/internal/frontend"
-	"cla/internal/linker"
 	"cla/internal/obs"
-	"cla/internal/parallel"
-	"cla/internal/prim"
 	"cla/internal/pts"
 	"cla/internal/pts/bitvec"
 	"cla/internal/pts/onelevel"
@@ -42,147 +36,68 @@ const (
 	OneLevel
 )
 
+// solverNames is the name table: each solver's canonical label (its
+// String, recorded in snapshots) first, then the CLI aliases.
+var solverNames = [...][]string{
+	PreTransitive: {"pre-transitive", "pretrans", "core"},
+	Worklist:      {"worklist", "andersen-closed"},
+	Steensgaard:   {"steensgaard", "steens", "unify"},
+	BitVector:     {"bitvec", "bitvector"},
+	OneLevel:      {"one-level", "onelevel", "das"},
+}
+
 func (s Solver) String() string {
-	switch s {
-	case PreTransitive:
-		return "pre-transitive"
-	case Worklist:
-		return "worklist"
-	case Steensgaard:
-		return "steensgaard"
-	case BitVector:
-		return "bitvec"
-	case OneLevel:
-		return "one-level"
+	if s >= 0 && int(s) < len(solverNames) {
+		return solverNames[s][0]
 	}
 	return fmt.Sprintf("Solver(%d)", int(s))
 }
 
-// ParseSolver maps a CLI name to a Solver.
+// ParseSolver maps a CLI name or a canonical label to a Solver.
 func ParseSolver(name string) (Solver, error) {
-	switch name {
-	case "pretrans", "pre-transitive", "core":
-		return PreTransitive, nil
-	case "worklist", "andersen-closed":
-		return Worklist, nil
-	case "steens", "steensgaard", "unify":
-		return Steensgaard, nil
-	case "bitvec", "bitvector":
-		return BitVector, nil
-	case "onelevel", "one-level", "das":
-		return OneLevel, nil
+	for s, names := range solverNames {
+		for _, n := range names {
+			if n == name {
+				return Solver(s), nil
+			}
+		}
 	}
 	return 0, fmt.Errorf("unknown solver %q (want pretrans, worklist, steens, bitvec or onelevel)", name)
 }
 
-// CompileUnits compiles the named units through loader and links them,
-// using every available core; see CompileUnitsJobs.
-func CompileUnits(units []string, loader cpp.Loader, opts frontend.Options) (*prim.Program, error) {
-	return CompileUnitsJobs(units, loader, opts, 0)
-}
-
-// CompileUnitsJobs compiles the named units on up to jobs workers
-// (jobs <= 0 means GOMAXPROCS) and links the results with the parallel
-// tree merge. Each translation unit is an independent compile — its own
-// preprocessor pass over its own includes — so units fan out freely;
-// results land in unit order, making the output identical to a
-// sequential compile followed by a left-fold link. A per-unit failure is
-// wrapped with the unit path, and with several failures the lowest-
-// numbered unit's error is reported, matching sequential behaviour.
-func CompileUnitsJobs(units []string, loader cpp.Loader, opts frontend.Options, jobs int) (*prim.Program, error) {
-	return CompileUnitsObs(units, loader, opts, jobs, nil)
-}
-
-// CompileUnitsObs is CompileUnitsJobs under an observer: the fan-out runs
-// inside a "compile" span with one span per translation unit on a track
-// keyed by the unit's index (not the worker's), then the link phase is
-// traced by LinkParallelObs. The nil observer costs nothing.
-func CompileUnitsObs(units []string, loader cpp.Loader, opts frontend.Options, jobs int, o *obs.Observer) (*prim.Program, error) {
-	return CompileUnitsCtx(context.Background(), units, loader, opts, jobs, o)
-}
-
-// CompileUnitsCtx is CompileUnitsObs under a context: a cancellation
-// stops undispatched unit compiles and aborts before the link.
-func CompileUnitsCtx(ctx context.Context, units []string, loader cpp.Loader, opts frontend.Options, jobs int, o *obs.Observer) (*prim.Program, error) {
-	sp := o.Start("compile")
-	o.SetCounter("compile.units", int64(len(units)))
-	progs := make([]*prim.Program, len(units))
-	err := parallel.ForEachCtx(ctx, jobs, len(units), func(i int) error {
-		usp := o.StartTrack(i+1, "unit "+filepath.Base(units[i]))
-		defer usp.End()
-		p, err := frontend.CompileFile(units[i], loader, opts)
-		if err != nil {
-			return fmt.Errorf("driver: compile %s: %w", units[i], err)
-		}
-		progs[i] = p
-		return nil
-	})
+// Analyze runs the selected solver over src. cfg applies to the
+// pre-transitive solver; cfg.Jobs selects the phase-parallel wave
+// fixpoint of the pre-transitive and worklist solvers when >= 2 and
+// bounds the bit-vector solver's final-set materialization. The result
+// is byte-identical at any cfg.Jobs.
+//
+// The pre-transitive and worklist solvers check ctx inside their
+// fixpoints (per wave and per few hundred rule applications); the
+// single-pass solvers (Steensgaard, bit-vector, one-level) check it only
+// at entry.
+//
+// The solve runs inside an "analyze" span of o, a background sampler
+// records its heap high-water mark into the analyze.heap_peak_bytes
+// gauge (the paper's Table 2 memory column), and the converged metrics
+// are published into o's solver.* counters at the end, so the solver's
+// hot loop never touches the observer. A nil o costs nothing.
+func Analyze(ctx context.Context, src pts.Source, solver Solver, cfg core.Config, o *obs.Observer) (pts.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sp := o.Start("analyze")
+	stopHeap := obs.WatchHeap(o.Gauge("analyze.heap_peak_bytes"), 0)
+	res, err := solve(ctx, src, solver, cfg)
+	stopHeap()
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return linker.LinkParallelObs(progs, jobs, o)
+	res.Metrics().Publish(o)
+	return res, nil
 }
 
-// CompileDir compiles every .c file under dir (sorted) with dir on the
-// include path and links the results, using every available core.
-func CompileDir(dir string, opts frontend.Options) (*prim.Program, error) {
-	return CompileDirJobs(dir, opts, 0)
-}
-
-// CompileDirJobs is CompileDir with an explicit worker bound (jobs <= 0
-// means GOMAXPROCS).
-func CompileDirJobs(dir string, opts frontend.Options, jobs int) (*prim.Program, error) {
-	return CompileDirObs(dir, opts, jobs, nil)
-}
-
-// CompileDirObs is CompileDirJobs under an observer.
-func CompileDirObs(dir string, opts frontend.Options, jobs int, o *obs.Observer) (*prim.Program, error) {
-	return CompileDirCtx(context.Background(), dir, nil, opts, jobs, o)
-}
-
-// CompileDirCtx compiles every .c file under dir with dir plus the
-// caller's extra include directories on the #include search path — the
-// one place the directory pipeline builds its loader, so include paths
-// given to the public API reach every unit compile. A cancellation stops
-// undispatched unit compiles.
-func CompileDirCtx(ctx context.Context, dir string, includes []string, opts frontend.Options, jobs int, o *obs.Observer) (*prim.Program, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var units []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".c" {
-			units = append(units, filepath.Join(dir, e.Name()))
-		}
-	}
-	sort.Strings(units)
-	if len(units) == 0 {
-		return nil, fmt.Errorf("driver: no .c files in %s", dir)
-	}
-	loader := cpp.OSLoader{Dirs: append([]string{dir}, includes...)}
-	return CompileUnitsCtx(ctx, units, loader, opts, jobs, o)
-}
-
-// Analyze runs the selected solver over src. cfg applies to the
-// pre-transitive solver; cfg.Jobs also bounds the bit-vector solver's
-// final-set materialization.
-func Analyze(src pts.Source, solver Solver, cfg core.Config) (pts.Result, error) {
-	return AnalyzeCtx(context.Background(), src, solver, cfg)
-}
-
-// AnalyzeCtx is Analyze under a context. The pre-transitive and worklist
-// solvers check for cancellation inside their fixpoints (per wave and
-// per few hundred rule applications); the remaining whole-program
-// solvers (Steensgaard, bit-vector, one-level) check only at entry, as
-// their single pass over the database is not interruptible. cfg.Jobs
-// selects the phase-parallel wave fixpoint for the pre-transitive and
-// worklist solvers when >= 2; the result is byte-identical at any -j.
-func AnalyzeCtx(ctx context.Context, src pts.Source, solver Solver, cfg core.Config) (pts.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+func solve(ctx context.Context, src pts.Source, solver Solver, cfg core.Config) (pts.Result, error) {
 	switch solver {
 	case PreTransitive:
 		return core.SolveCtx(ctx, src, cfg)
@@ -196,34 +111,4 @@ func AnalyzeCtx(ctx context.Context, src pts.Source, solver Solver, cfg core.Con
 		return onelevel.Solve(src)
 	}
 	return nil, fmt.Errorf("driver: unknown solver %d", solver)
-}
-
-// AnalyzeProgram is a convenience over an in-memory program.
-func AnalyzeProgram(p *prim.Program, solver Solver, cfg core.Config) (pts.Result, error) {
-	return Analyze(pts.NewMemSource(p), solver, cfg)
-}
-
-// AnalyzeObs is Analyze under an observer: the solve runs inside an
-// "analyze" span and the converged metrics are published into the
-// observer's solver.* counters — the publish-at-end idiom, so the
-// solver's hot loop never touches the observer. A background sampler
-// records the heap high-water mark of the solve into the
-// analyze.heap_peak_bytes gauge (the paper's Table 2 memory column).
-// The nil observer costs nothing.
-func AnalyzeObs(src pts.Source, solver Solver, cfg core.Config, o *obs.Observer) (pts.Result, error) {
-	return AnalyzeObsCtx(context.Background(), src, solver, cfg, o)
-}
-
-// AnalyzeObsCtx is AnalyzeObs under a context (see AnalyzeCtx).
-func AnalyzeObsCtx(ctx context.Context, src pts.Source, solver Solver, cfg core.Config, o *obs.Observer) (pts.Result, error) {
-	sp := o.Start("analyze")
-	stopHeap := obs.WatchHeap(o.Gauge("analyze.heap_peak_bytes"), 0)
-	res, err := AnalyzeCtx(ctx, src, solver, cfg)
-	stopHeap()
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Metrics().Publish(o)
-	return res, nil
 }

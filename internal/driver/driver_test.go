@@ -1,31 +1,43 @@
 package driver
 
 import (
-	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
+	"context"
 	"testing"
 
 	"cla/internal/core"
 	"cla/internal/cpp"
 	"cla/internal/frontend"
-	"cla/internal/objfile"
+	"cla/internal/linker"
+	"cla/internal/prim"
 	"cla/internal/pts"
 )
+
+// link compiles each source on its own and links them in order.
+func link(t *testing.T, files cpp.MapLoader, units ...string) *prim.Program {
+	t.Helper()
+	var progs []*prim.Program
+	for _, u := range units {
+		p, err := frontend.CompileSource(u, files[u], files, frontend.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	prog, err := linker.Link(progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
 
 func TestCompileUnitsAndAnalyze(t *testing.T) {
 	files := cpp.MapLoader{
 		"a.c": "int g; int *p;\nvoid f(void) { p = &g; }\n",
 		"b.c": "extern int *p; int *q;\nvoid h(void) { q = p; }\n",
 	}
-	prog, err := CompileUnits([]string{"a.c", "b.c"}, files, frontend.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, solver := range []Solver{PreTransitive, Worklist, Steensgaard} {
-		res, err := Analyze(pts.NewMemSource(prog), solver, core.DefaultConfig())
+	prog := link(t, files, "a.c", "b.c")
+	for _, solver := range []Solver{PreTransitive, Worklist, Steensgaard, BitVector, OneLevel} {
+		res, err := Analyze(context.Background(), pts.NewMemSource(prog), solver, core.DefaultConfig(), nil)
 		if err != nil {
 			t.Fatalf("%v: %v", solver, err)
 		}
@@ -36,43 +48,13 @@ func TestCompileUnitsAndAnalyze(t *testing.T) {
 	}
 }
 
-func TestCompileDir(t *testing.T) {
-	dir := t.TempDir()
-	os.WriteFile(filepath.Join(dir, "x.c"), []byte("int v, *p;\nvoid f(void) { p = &v; }\n"), 0o644)
-	os.WriteFile(filepath.Join(dir, "y.c"), []byte("extern int *p; int *r;\nvoid g(void) { r = p; }\n"), 0o644)
-	os.WriteFile(filepath.Join(dir, "note.txt"), []byte("not C"), 0o644)
-	prog, err := CompileDir(dir, frontend.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := AnalyzeProgram(prog, PreTransitive, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := prog.SymIDByName("r")
-	set := res.PointsTo(r)
-	if len(set) != 1 || prog.Sym(set[0]).Name != "v" {
-		t.Errorf("pts(r) = %v", set)
-	}
-}
-
-func TestCompileDirEmpty(t *testing.T) {
-	if _, err := CompileDir(t.TempDir(), frontend.Options{}); err == nil {
-		t.Error("empty dir accepted")
-	}
-}
-
-func TestCompileDirMissing(t *testing.T) {
-	if _, err := CompileDir("/nonexistent-dir-cla", frontend.Options{}); err == nil {
-		t.Error("missing dir accepted")
-	}
-}
-
 func TestParseSolver(t *testing.T) {
 	cases := map[string]Solver{
 		"pretrans": PreTransitive, "pre-transitive": PreTransitive, "core": PreTransitive,
 		"worklist": Worklist, "andersen-closed": Worklist,
 		"steens": Steensgaard, "steensgaard": Steensgaard, "unify": Steensgaard,
+		"bitvec": BitVector, "bitvector": BitVector,
+		"onelevel": OneLevel, "one-level": OneLevel, "das": OneLevel,
 	}
 	for name, want := range cases {
 		got, err := ParseSolver(name)
@@ -80,87 +62,35 @@ func TestParseSolver(t *testing.T) {
 			t.Errorf("ParseSolver(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := ParseSolver("magic"); err == nil {
-		t.Error("unknown solver accepted")
+	for _, bad := range []string{"magic", ""} {
+		if _, err := ParseSolver(bad); err == nil {
+			t.Errorf("unknown solver %q accepted", bad)
+		}
 	}
 }
 
 func TestSolverString(t *testing.T) {
-	if PreTransitive.String() != "pre-transitive" || Worklist.String() != "worklist" ||
-		Steensgaard.String() != "steensgaard" {
-		t.Error("solver names wrong")
+	want := map[Solver]string{
+		PreTransitive: "pre-transitive", Worklist: "worklist", Steensgaard: "steensgaard",
+		BitVector: "bitvec", OneLevel: "one-level",
+	}
+	for s, name := range want {
+		if s.String() != name {
+			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), name)
+		}
+		// The canonical label parses back: snapshots record it.
+		if back, err := ParseSolver(name); err != nil || back != s {
+			t.Errorf("ParseSolver(%q) = %v, %v", name, back, err)
+		}
+	}
+	if got := Solver(99).String(); got != "Solver(99)" {
+		t.Errorf("Solver(99).String() = %q", got)
 	}
 }
 
 func TestAnalyzeUnknownSolver(t *testing.T) {
-	prog, err := CompileUnits([]string{"a.c"}, cpp.MapLoader{"a.c": "int x;"}, frontend.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Analyze(pts.NewMemSource(prog), Solver(99), core.DefaultConfig()); err == nil {
+	prog := link(t, cpp.MapLoader{"a.c": "int x;"}, "a.c")
+	if _, err := Analyze(context.Background(), pts.NewMemSource(prog), Solver(99), core.DefaultConfig(), nil); err == nil {
 		t.Error("unknown solver accepted")
-	}
-}
-
-func TestCompileUnitsBadFile(t *testing.T) {
-	if _, err := CompileUnits([]string{"missing.c"}, cpp.MapLoader{}, frontend.Options{}); err == nil {
-		t.Error("missing unit accepted")
-	}
-}
-
-func TestCompileUnitsErrorNamesUnit(t *testing.T) {
-	files := cpp.MapLoader{
-		"good.c": "int g;\n",
-		"bad.c":  "int broken(",
-	}
-	_, err := CompileUnits([]string{"good.c", "bad.c"}, files, frontend.Options{})
-	if err == nil {
-		t.Fatal("bad unit accepted")
-	}
-	if !strings.Contains(err.Error(), "bad.c") {
-		t.Errorf("error does not name the failing unit: %v", err)
-	}
-}
-
-func TestCompileUnitsErrorIsLowestUnit(t *testing.T) {
-	// With several failures the first unit's error must win regardless of
-	// worker scheduling, matching a sequential compile loop.
-	files := cpp.MapLoader{"z.c": "int ok;\n"}
-	units := []string{"a-missing.c", "z.c", "b-missing.c"}
-	for _, jobs := range []int{1, 4} {
-		_, err := CompileUnitsJobs(units, files, frontend.Options{}, jobs)
-		if err == nil {
-			t.Fatal("missing units accepted")
-		}
-		if !strings.Contains(err.Error(), "a-missing.c") {
-			t.Errorf("jobs=%d: want first unit's error, got: %v", jobs, err)
-		}
-	}
-}
-
-func TestCompileDirJobsDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	for i := 0; i < 9; i++ {
-		src := fmt.Sprintf("int g%[1]d, *p%[1]d;\nvoid f%[1]d(void) { p%[1]d = &g%[1]d; }\n", i)
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("u%d.c", i)), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dump := func(jobs int) []byte {
-		prog, err := CompileDirJobs(dir, frontend.Options{}, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := objfile.Write(&buf, prog); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := dump(1)
-	for _, jobs := range []int{2, 8} {
-		if !bytes.Equal(want, dump(jobs)) {
-			t.Errorf("jobs=%d: database differs from sequential compile", jobs)
-		}
 	}
 }

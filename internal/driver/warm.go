@@ -8,7 +8,7 @@ import (
 	"cla/internal/pts/worklist"
 )
 
-// AnalyzeWarmCtx is AnalyzeCtx with a warm start: when warm carries a
+// AnalyzeWarmCtx is Analyze (without an observer) with a warm start: when warm carries a
 // fixpoint solved from the same constraint digest (the caller computes
 // it with prim.Program.Digest and folds in solver/model/config identity
 // — see internal/incr), the previous result is returned unchanged with
@@ -30,7 +30,7 @@ func AnalyzeWarmCtx(ctx context.Context, src pts.Source, solver Solver, cfg core
 	if warm.Match(digest) {
 		return warm.Result, true, nil
 	}
-	r, err := AnalyzeCtx(ctx, src, solver, cfg)
+	r, err := Analyze(ctx, src, solver, cfg, nil)
 	if err != nil {
 		return nil, false, err
 	}

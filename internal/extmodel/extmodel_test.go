@@ -1,6 +1,7 @@
 package extmodel_test
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"cla/internal/frontend"
 	"cla/internal/linker"
 	"cla/internal/prim"
+	"cla/internal/pts"
 )
 
 // link compiles each unit and links them in name order.
@@ -41,7 +43,7 @@ func link(t *testing.T, units map[string]string) *prim.Program {
 
 func solve(t *testing.T, p *prim.Program, s driver.Solver) ptsResult {
 	t.Helper()
-	res, err := driver.AnalyzeProgram(p, s, core.DefaultConfig())
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(p), s, core.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatalf("solve %v: %v", s, err)
 	}

@@ -1,6 +1,7 @@
 package extmodel_test
 
 import (
+	"context"
 	"testing"
 
 	"cla/internal/core"
@@ -9,6 +10,7 @@ import (
 	"cla/internal/frontend"
 	"cla/internal/linker"
 	"cla/internal/prim"
+	"cla/internal/pts"
 )
 
 // FuzzExterns feeds arbitrary translation units through the full
@@ -42,13 +44,13 @@ func FuzzExterns(f *testing.F) {
 			if err := p.Validate(); err != nil {
 				t.Fatalf("%v: model output fails Validate: %v", m, err)
 			}
-			res, err := driver.AnalyzeProgram(p, driver.PreTransitive, core.DefaultConfig())
+			res, err := driver.Analyze(context.Background(), pts.NewMemSource(p), driver.PreTransitive, core.DefaultConfig(), nil)
 			if err != nil {
 				t.Fatalf("%v: solve: %v", m, err)
 			}
 			cfg := core.DefaultConfig()
 			cfg.Jobs = 8
-			par, err := driver.AnalyzeProgram(p, driver.PreTransitive, cfg)
+			par, err := driver.Analyze(context.Background(), pts.NewMemSource(p), driver.PreTransitive, cfg, nil)
 			if err != nil {
 				t.Fatalf("%v: parallel solve: %v", m, err)
 			}

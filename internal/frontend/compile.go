@@ -59,15 +59,6 @@ func (m *Memo) CompileSource(name, src string, loader cpp.Loader, opts Options) 
 	return Compile(ck, opts), nil
 }
 
-// CompileFile preprocesses and compiles the named file through loader.
-func CompileFile(name string, loader cpp.Loader, opts Options) (*prim.Program, error) {
-	content, path, err := loader.Load(name)
-	if err != nil {
-		return nil, err
-	}
-	return CompileSource(path, content, loader, opts)
-}
-
 // FormatAssign renders an assignment with symbol names, for tests, tools
 // and dependence-chain output.
 func FormatAssign(p *prim.Program, a prim.Assign) string {

@@ -54,7 +54,7 @@ type Options struct {
 	// fresh heap location. Nil means DefaultAllocators.
 	Allocators map[string]bool
 	// Defines are predefined object-like macros applied before
-	// preprocessing (CompileSource/CompileFile only).
+	// preprocessing (CompileSource only).
 	Defines map[string]string
 }
 

@@ -47,6 +47,12 @@ func FuzzFrontend(f *testing.F) {
 		"#include \"h.h\"\nint a;\n", "int b; /* c\n d */ int \\\ne;\n#include \"h.h\"\n", "X=1")
 	f.Add("#else\nint hidden;\n", "#if 1\n#include \"h.h\"\n#endif\nint u;\n",
 		"#if 0\n#include \"h.h\"\n#endif\n", "")
+	// Exponential macro expansion: 18 doubling levels in 353 bytes.
+	chain := "#define A0 x\n"
+	for i := 1; i <= 18; i++ {
+		chain += fmt.Sprintf("#define A%d A%d A%d\n", i, i-1, i-1)
+	}
+	f.Add("", chain+"int A18;\n", "int ok;\n", "")
 	f.Add("# 7 \"elsewhere.c\"\nint *p;\n", "#include \"h.h\"\nint x = ;\n",
 		"int f(void) {\n#include \"h.h\"\n", "D")
 

@@ -1,12 +1,15 @@
 package gen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"cla/internal/core"
-	"cla/internal/driver"
+	"cla/internal/cpp"
 	"cla/internal/frontend"
+	"cla/internal/incr"
+	"cla/internal/linker"
 	"cla/internal/prim"
 	"cla/internal/pts"
 )
@@ -72,7 +75,7 @@ func TestGeneratedCodeCompiles(t *testing.T) {
 		if len(units) != p.Files {
 			t.Fatalf("%s: units = %d, want %d", p.Name, len(units), p.Files)
 		}
-		prog, err := driver.CompileUnits(units, code.Loader(), frontend.Options{})
+		prog, err := compileUnits(units, code.Loader(), frontend.Options{})
 		if err != nil {
 			t.Fatalf("%s: compile: %v", p.Name, err)
 		}
@@ -86,7 +89,7 @@ func TestGeneratedCountsApproximateProfile(t *testing.T) {
 	p, _ := ProfileByName("vortex")
 	p = p.Scale(0.1)
 	code := Generate(p, 7)
-	prog, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{})
+	prog, err := compileUnits(code.Units(), code.Loader(), frontend.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +117,7 @@ func TestGeneratedCodeAnalyzes(t *testing.T) {
 	p, _ := ProfileByName("burlap")
 	p = p.Scale(0.05)
 	code := Generate(p, 3)
-	prog, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{})
+	prog, err := compileUnits(code.Units(), code.Loader(), frontend.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +135,11 @@ func TestGeneratedFieldModesDiffer(t *testing.T) {
 	p, _ := ProfileByName("povray")
 	p = p.Scale(0.05)
 	code := Generate(p, 11)
-	fb, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldBased})
+	fb, err := compileUnits(code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldBased})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldIndependent})
+	fi, err := compileUnits(code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldIndependent})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,4 +185,14 @@ func TestIndirectCallsGenerated(t *testing.T) {
 	if !found {
 		t.Error("no function-pointer usage generated")
 	}
+}
+
+// compileUnits compiles units through the one compile path and links
+// them.
+func compileUnits(units []string, loader cpp.Loader, opts frontend.Options) (*prim.Program, error) {
+	progs, err := incr.Compile(context.Background(), incr.Config{Frontend: opts}, units, loader)
+	if err != nil {
+		return nil, err
+	}
+	return linker.Link(progs)
 }

@@ -166,13 +166,9 @@ type Pipeline struct {
 // every unit under cfg.Dir (served from the on-disk store where valid,
 // so a second session over an unchanged tree parses nothing).
 func Open(ctx context.Context, cfg Config) (*Pipeline, error) {
-	p := &Pipeline{cfg: cfg, memo: linker.NewMergeCache(), units: map[string]*unit{}}
-	if cfg.CacheDir != "" {
-		st, err := openStore(cfg.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		p.store = st
+	p, err := newPipeline(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if _, _, err := p.refresh(ctx, nil); err != nil {
 		return nil, err
@@ -182,15 +178,12 @@ func Open(ctx context.Context, cfg Config) (*Pipeline, error) {
 
 // CompileDir runs the pipeline's compile+link front half once and
 // returns the linked database — the single-generation equivalent of a
-// workspace's compile phase, which the one-shot cla.CompileDir wraps.
+// workspace's compile phase, which the one-shot cla.CompileDir and the
+// directory forms of the command-line tools wrap.
 func CompileDir(ctx context.Context, cfg Config) (*prim.Program, error) {
-	p := &Pipeline{cfg: cfg, memo: linker.NewMergeCache(), units: map[string]*unit{}}
-	if cfg.CacheDir != "" {
-		st, err := openStore(cfg.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		p.store = st
+	p, err := newPipeline(cfg)
+	if err != nil {
+		return nil, err
 	}
 	units, _, err := p.compilePhase(ctx, nil)
 	if err != nil {
@@ -198,6 +191,39 @@ func CompileDir(ctx context.Context, cfg Config) (*prim.Program, error) {
 	}
 	linked, _, err := p.linkPhase(units)
 	return linked, err
+}
+
+// Compile is the one compile fan-out: the pipeline's refreshes,
+// CompileDir, the command-line tools and the benchmark harness all
+// compile through it. The units (resolved through loader) compile on up
+// to cfg.Jobs workers sharing one header memo; with cfg.CacheDir set,
+// each is first looked up in the on-disk unit store and saved there
+// after a parse. The databases come back in unit order, so the output
+// is independent of scheduling, and with several failures the error is
+// the lowest-numbered unit's, as a sequential loop would report. Only
+// cfg.Frontend, Jobs, CacheDir and Obs are read.
+func Compile(ctx context.Context, cfg Config, units []string, loader cpp.Loader) ([]*prim.Program, error) {
+	st, err := openStore(cfg.CacheDir)
+	if err != nil {
+		return nil, err
+	}
+	us, _, err := compile(ctx, cfg, st, units, loader, newHashCache())
+	if err != nil {
+		return nil, err
+	}
+	progs := make([]*prim.Program, len(us))
+	for i, u := range us {
+		progs[i] = u.prog
+	}
+	return progs, nil
+}
+
+func newPipeline(cfg Config) (*Pipeline, error) {
+	st, err := openStore(cfg.CacheDir)
+	if err != nil {
+		return nil, err
+	}
+	return &Pipeline{cfg: cfg, store: st, memo: linker.NewMergeCache(), units: map[string]*unit{}}, nil
 }
 
 // Current returns the latest generation snapshot.
@@ -279,7 +305,8 @@ func (p *Pipeline) Stale() (bool, []string) {
 			changed = append(changed, path)
 		}
 	}
-	for _, u := range listUnits(p.cfg.Dir) {
+	paths, _ := listUnits(p.cfg.Dir)
+	for _, u := range paths {
 		if !units[u] {
 			changed = append(changed, u)
 		}
@@ -289,10 +316,10 @@ func (p *Pipeline) Stale() (bool, []string) {
 }
 
 // listUnits returns the sorted .c files directly under dir.
-func listUnits(dir string) []string {
+func listUnits(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	var units []string
 	for _, e := range entries {
@@ -301,7 +328,7 @@ func listUnits(dir string) []string {
 		}
 	}
 	sort.Strings(units)
-	return units
+	return units, nil
 }
 
 func canon(path string) string {
@@ -340,7 +367,7 @@ func (hc *hashCache) hash(path string) string {
 }
 
 // optsFingerprint folds the semantically relevant compile options into
-// unit keys, mirroring the driver cache's scheme.
+// unit keys and store entry names.
 func optsFingerprint(opts frontend.Options) string {
 	keys := make([]string, 0, len(opts.Defines))
 	for k, v := range opts.Defines {
@@ -408,15 +435,17 @@ func (l *trackLoader) deps() []dep {
 }
 
 // compilePhase lists the workspace's units, decides which are dirty
-// (under the optional hint set), and recompiles those — from the on-disk
-// store when the closure still matches, by parsing otherwise. It returns
-// the new sorted unit slice without committing it to the pipeline.
+// (under the optional hint set), and recompiles those through compile.
+// It returns the new sorted unit slice without committing it to the
+// pipeline.
 func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*unit, RefreshStats, error) {
 	var st RefreshStats
-	o := p.cfg.Obs
 	hc := newHashCache()
 
-	paths := listUnits(p.cfg.Dir)
+	paths, err := listUnits(p.cfg.Dir)
+	if err != nil {
+		return nil, st, err
+	}
 	if len(paths) == 0 {
 		return nil, st, fmt.Errorf("incr: no .c files in %s", p.cfg.Dir)
 	}
@@ -425,6 +454,7 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 	hashStart := time.Now()
 	units := make([]*unit, len(paths))
 	var dirtyIdx []int
+	var dirtyPaths []string
 	for i, path := range paths {
 		if u := p.units[path]; u != nil && !dirty(u, hints, hc) {
 			units[i] = u
@@ -432,56 +462,77 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 			continue
 		}
 		dirtyIdx = append(dirtyIdx, i)
+		dirtyPaths = append(dirtyPaths, path)
 	}
 	st.Hash = time.Since(hashStart)
 
 	compileStart := time.Now()
-	if len(dirtyIdx) > 0 {
-		sp := o.Start("compile")
-		loader := cpp.OSLoader{Dirs: append([]string{p.cfg.Dir}, p.cfg.Includes...)}
-		// One header memo per phase, shared by the workers and dropped
-		// when the phase returns: nothing is kept between refreshes.
-		memo := frontend.NewMemo()
-		var hits atomic.Int64
-		err := parallel.ForEachCtx(ctx, p.cfg.Jobs, len(dirtyIdx), func(k int) error {
-			i := dirtyIdx[k]
-			path := paths[i]
-			if p.store != nil {
-				if u, ok := p.store.load(path, p.cfg.Frontend, hc); ok {
-					units[i] = u
-					hits.Add(1)
-					return nil
-				}
-			}
-			usp := o.StartTrack(k+1, "unit "+filepath.Base(path))
-			defer usp.End()
-			tl := &trackLoader{inner: loader, reads: map[string]string{}}
-			content, rpath, err := tl.Load(path)
-			if err != nil {
-				return fmt.Errorf("incr: compile %s: %w", path, err)
-			}
-			prog, err := memo.CompileSource(rpath, content, tl, p.cfg.Frontend)
-			if err != nil {
-				return fmt.Errorf("incr: compile %s: %w", path, err)
-			}
-			deps := tl.deps()
-			u := &unit{path: path, prog: prog, deps: deps, key: leafKey(p.cfg.Frontend, deps)}
-			if p.store != nil {
-				p.store.save(u, p.cfg.Frontend) // best-effort
-			}
-			units[i] = u
-			return nil
-		})
-		sp.End()
-		if err != nil {
-			return nil, st, err
-		}
-		st.StoreHits = int(hits.Load())
-		st.Recompiled = len(dirtyIdx) - st.StoreHits
+	loader := cpp.OSLoader{Dirs: append([]string{p.cfg.Dir}, p.cfg.Includes...)}
+	fresh, hits, err := compile(ctx, p.cfg, p.store, dirtyPaths, loader, hc)
+	if err != nil {
+		return nil, st, err
 	}
+	for k, i := range dirtyIdx {
+		units[i] = fresh[k]
+	}
+	st.StoreHits = hits
+	st.Recompiled = len(dirtyPaths) - hits
 	st.Compile = time.Since(compileStart)
-	o.SetCounter("compile.units", int64(len(dirtyIdx)))
 	return units, st, nil
+}
+
+// compile runs the compile workers over paths and returns the units in
+// path order plus how many of them the store served. The workers share
+// one header memo, dropped when the call returns: nothing is kept
+// between phases. Each unit compiles through a tracking loader, so its
+// dependency closure (and from it the unit's key) is exactly what it
+// read; a parsed unit is saved to the store best-effort.
+func compile(ctx context.Context, cfg Config, st *store, paths []string, loader cpp.Loader, hc *hashCache) ([]*unit, int, error) {
+	o := cfg.Obs
+	o.SetCounter("compile.units", int64(len(paths)))
+	if len(paths) == 0 {
+		return nil, 0, nil
+	}
+	sp := o.Start("compile")
+	memo := frontend.NewMemo()
+	units := make([]*unit, len(paths))
+	var hits atomic.Int64
+	err := parallel.ForEachCtx(ctx, cfg.Jobs, len(paths), func(i int) error {
+		path := paths[i]
+		if st != nil {
+			if u, ok := st.load(path, cfg.Frontend, hc); ok {
+				units[i] = u
+				hits.Add(1)
+				return nil
+			}
+		}
+		usp := o.StartTrack(i+1, "unit "+filepath.Base(path))
+		defer usp.End()
+		tl := &trackLoader{inner: loader, reads: map[string]string{}}
+		content, rpath, err := tl.Load(path)
+		if err != nil {
+			return fmt.Errorf("incr: compile %s: %w", path, err)
+		}
+		prog, err := memo.CompileSource(rpath, content, tl, cfg.Frontend)
+		if err != nil {
+			return fmt.Errorf("incr: compile %s: %w", path, err)
+		}
+		deps := tl.deps()
+		u := &unit{path: path, prog: prog, deps: deps, key: leafKey(cfg.Frontend, deps)}
+		if st != nil {
+			st.save(u, cfg.Frontend)
+		}
+		units[i] = u
+		return nil
+	})
+	sp.End()
+	if err != nil {
+		return nil, 0, err
+	}
+	n := int(hits.Load())
+	o.Counter("incr.units_recompiled").Add(int64(len(paths) - n))
+	o.Counter("incr.units_store_hits").Add(int64(n))
+	return units, n, nil
 }
 
 // linkPhase merges the units through the generation memo.
@@ -563,7 +614,7 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 		src := pts.NewMemSource(aprog)
 		cfg := p.cfg.Core
 		cfg.Jobs = p.cfg.Jobs
-		r, err := driver.AnalyzeObsCtx(ctx, src, p.cfg.Solver, cfg, o)
+		r, err := driver.Analyze(ctx, src, p.cfg.Solver, cfg, o)
 		if err != nil {
 			return nil, st, err
 		}
@@ -600,8 +651,6 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 
 	o.Gauge("incr.generation").Set(int64(p.gen))
 	o.Counter("incr.refreshes").Inc()
-	o.Counter("incr.units_recompiled").Add(int64(st.Recompiled))
-	o.Counter("incr.units_store_hits").Add(int64(st.StoreHits))
 	o.Counter("incr.units_reused").Add(int64(st.Reused))
 	o.Counter("incr.link_merges_reused").Add(int64(st.MergesReused))
 	if st.SolveReused {

@@ -11,8 +11,11 @@ import (
 	"time"
 
 	"cla/internal/core"
+	"cla/internal/cpp"
 	"cla/internal/driver"
 	"cla/internal/extmodel"
+	"cla/internal/frontend"
+	"cla/internal/linker"
 	"cla/internal/obs"
 	"cla/internal/prim"
 	"cla/internal/pts"
@@ -110,18 +113,37 @@ func fingerprint(p *prim.Program, res pts.Result) string {
 	return srchash.String(strings.Join(lines, "\n"))
 }
 
-// scratchFingerprint builds the same analysis from scratch through the
-// one-shot driver path.
+// scratchFingerprint builds the same analysis along a path that shares
+// nothing with the pipeline: a left fold of per-unit compiles, each on a
+// fresh header memo, then linker.Link and driver.Analyze. It checks the
+// shared-memo compile phase against compiles that share nothing.
 func scratchFingerprint(t *testing.T, cfg Config) string {
 	t.Helper()
-	prog, err := driver.CompileDirCtx(context.Background(), cfg.Dir, cfg.Includes, cfg.Frontend, cfg.Jobs, nil)
+	paths, err := filepath.Glob(filepath.Join(cfg.Dir, "*.c"))
 	if err != nil {
-		t.Fatalf("scratch compile: %v", err)
+		t.Fatal(err)
+	}
+	loader := cpp.OSLoader{Dirs: append([]string{cfg.Dir}, cfg.Includes...)}
+	var progs []*prim.Program
+	for _, path := range paths {
+		content, rpath, err := loader.Load(path)
+		if err != nil {
+			t.Fatalf("scratch load: %v", err)
+		}
+		p, err := frontend.CompileSource(rpath, content, loader, cfg.Frontend)
+		if err != nil {
+			t.Fatalf("scratch compile: %v", err)
+		}
+		progs = append(progs, p)
+	}
+	prog, err := linker.Link(progs)
+	if err != nil {
+		t.Fatalf("scratch link: %v", err)
 	}
 	aprog, _ := extmodel.ApplyClone(prog, cfg.Model)
 	ccfg := cfg.Core
 	ccfg.Jobs = cfg.Jobs
-	res, err := driver.AnalyzeCtx(context.Background(), pts.NewMemSource(aprog), cfg.Solver, ccfg)
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(aprog), cfg.Solver, ccfg, nil)
 	if err != nil {
 		t.Fatalf("scratch analyze: %v", err)
 	}

@@ -17,14 +17,19 @@ import (
 // the cached compile read — "path\thash" per line, sorted — and an entry
 // is valid only while every listed file still hashes the same, so the
 // store is keyed by content end to end and never needs invalidation
-// logic. It shares the driver cache's layout philosophy but returns the
-// dependency closure alongside the program, which the pipeline's dirty
-// tracking needs.
+// logic. A load returns the dependency closure alongside the program,
+// which the pipeline's dirty tracking needs. It is the only unit cache:
+// workspaces (CacheDir) and clacc -cache share it.
 type store struct {
 	dir string
 }
 
+// openStore opens (creating if needed) the store in dir; an empty dir
+// means no store and yields nil.
 func openStore(dir string) (*store, error) {
+	if dir == "" {
+		return nil, nil
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}

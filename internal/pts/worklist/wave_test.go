@@ -34,7 +34,8 @@ void m(void) { p = &x; q = &y; r = p; r = q; *r = &o1; x = &o2; y = *p; }`,
 }
 
 // buildGenProgram compiles and links a scaled Table 2 workload without
-// going through the driver (which would import this package back).
+// going through internal/incr (whose solver dispatch imports this
+// package back).
 func buildGenProgram(t *testing.T, name string, scale float64) *prim.Program {
 	t.Helper()
 	p, ok := gen.ProfileByName(name)
@@ -45,7 +46,7 @@ func buildGenProgram(t *testing.T, name string, scale float64) *prim.Program {
 	loader := code.Loader()
 	var units []*prim.Program
 	for _, u := range code.Units() {
-		prog, err := frontend.CompileFile(u, loader, frontend.Options{})
+		prog, err := frontend.CompileSource(u, code.Files[u], loader, frontend.Options{})
 		if err != nil {
 			t.Fatalf("compile %s: %v", u, err)
 		}

@@ -120,7 +120,7 @@ func Open(ctx context.Context, name, path string, cfg Config) (*Session, error) 
 		src := pts.NewMemSource(prog)
 		ccfg := core.DefaultConfig()
 		ccfg.Jobs = cfg.Jobs
-		res, err := driver.AnalyzeObsCtx(ctx, src, cfg.Solver, ccfg, cfg.Obs)
+		res, err := driver.Analyze(ctx, src, cfg.Solver, ccfg, cfg.Obs)
 		if err != nil {
 			return nil, claerr.File(claerr.PhaseAnalyze, path, err)
 		}

@@ -32,7 +32,7 @@ func BuildSnapshot(ctx context.Context, path string, cfg Config) (*snapfile.Snap
 	src := pts.NewMemSource(prog)
 	ccfg := core.DefaultConfig()
 	ccfg.Jobs = cfg.Jobs
-	res, err := driver.AnalyzeObsCtx(ctx, src, cfg.Solver, ccfg, cfg.Obs)
+	res, err := driver.Analyze(ctx, src, cfg.Solver, ccfg, cfg.Obs)
 	if err != nil {
 		return nil, claerr.File(claerr.PhaseAnalyze, path, err)
 	}

@@ -2,12 +2,14 @@ package snapfile
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"cla/internal/core"
 	"cla/internal/driver"
 	"cla/internal/frontend"
 	"cla/internal/prim"
+	"cla/internal/pts"
 )
 
 // FuzzSnapshot feeds arbitrary bytes to the snapshot reader. The reader
@@ -25,7 +27,7 @@ func FuzzSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	res, err := driver.AnalyzeProgram(prog, driver.PreTransitive, core.DefaultConfig())
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(prog), driver.PreTransitive, core.DefaultConfig(), nil)
 	if err != nil {
 		f.Fatal(err)
 	}

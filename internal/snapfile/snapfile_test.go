@@ -2,6 +2,7 @@ package snapfile
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -42,7 +43,7 @@ func build(t *testing.T, solver driver.Solver, jobs int) *Snapshot {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Jobs = jobs
-	res, err := driver.AnalyzeProgram(prog, solver, cfg)
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(prog), solver, cfg, nil)
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}

@@ -293,8 +293,7 @@ func Save(path string, s *Snapshot) error {
 
 // HashFile records one input file's identity for staleness detection,
 // using the toolkit-wide srchash scheme so the snapshot staleness check
-// can never desynchronize from the driver cache or the incremental
-// pipeline's unit store.
+// can never desynchronize from the incremental pipeline's unit store.
 func HashFile(path string) (SourceFile, error) {
 	hash, size, err := srchash.File(path)
 	if err != nil {

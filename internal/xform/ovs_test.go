@@ -1,14 +1,15 @@
 package xform
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"cla/internal/core"
-	"cla/internal/driver"
-	"cla/internal/frontend"
 	"cla/internal/gen"
+	"cla/internal/incr"
+	"cla/internal/linker"
 	"cla/internal/prim"
 	"cla/internal/pts"
 )
@@ -176,7 +177,11 @@ func TestOVSEquivalenceOnRandomPrograms(t *testing.T) {
 func TestOVSShrinksGeneratedWorkload(t *testing.T) {
 	p, _ := gen.ProfileByName("vortex")
 	code := gen.Generate(p.Scale(0.03), 5)
-	prog, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{})
+	progs, err := incr.Compile(context.Background(), incr.Config{}, code.Units(), code.Loader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := linker.Link(progs)
 	if err != nil {
 		t.Fatal(err)
 	}

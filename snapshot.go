@@ -7,34 +7,6 @@ import (
 	"cla/internal/snapfile"
 )
 
-// String returns the solver's flag spelling, matching the -solver names
-// the CLIs accept.
-func (a Algorithm) String() string {
-	switch a {
-	case WorklistAndersen:
-		return "worklist"
-	case SteensgaardUnify:
-		return "steensgaard"
-	case BitVectorAndersen:
-		return "bitvec"
-	case OneLevelFlow:
-		return "one-level"
-	}
-	return "pre-transitive"
-}
-
-// parseAlgorithm maps a recorded solver label back to an Algorithm;
-// unknown labels fall back to the default.
-func parseAlgorithm(name string) Algorithm {
-	for _, a := range []Algorithm{PreTransitive, WorklistAndersen,
-		SteensgaardUnify, BitVectorAndersen, OneLevelFlow} {
-		if a.String() == name {
-			return a
-		}
-	}
-	return PreTransitive
-}
-
 // SnapshotOptions configures SaveSnapshot.
 type SnapshotOptions struct {
 	// Sources are the input files whose content hashes the snapshot

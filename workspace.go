@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"cla/internal/claerr"
-	"cla/internal/core"
-	"cla/internal/driver"
 	"cla/internal/frontend"
 	"cla/internal/incr"
 	"cla/internal/obs"
@@ -72,45 +70,31 @@ func (o *WorkspaceOptions) observer() *obs.Observer {
 	return o.Observer.internal()
 }
 
-func (o *WorkspaceOptions) solver() driver.Solver {
+// analyzeOptions is the analyze half of o, so the solve settings are
+// derived in one place for workspaces and one-shot analyses alike.
+func (o *WorkspaceOptions) analyzeOptions() *AnalyzeOptions {
 	if o == nil {
-		return driver.PreTransitive
+		return nil
 	}
-	switch o.Algorithm {
-	case WorklistAndersen:
-		return driver.Worklist
-	case SteensgaardUnify:
-		return driver.Steensgaard
-	case BitVectorAndersen:
-		return driver.BitVector
-	case OneLevelFlow:
-		return driver.OneLevel
+	return &AnalyzeOptions{
+		Algorithm: o.Algorithm, ExtModel: o.ExtModel,
+		NoCache: o.NoCache, NoCycleElim: o.NoCycleElim, NoDemandLoad: o.NoDemandLoad,
+		Jobs: o.Jobs,
 	}
-	return driver.PreTransitive
-}
-
-func (o *WorkspaceOptions) coreConfig() core.Config {
-	cfg := core.DefaultConfig()
-	if o != nil {
-		cfg.Cache = !o.NoCache
-		cfg.CycleElim = !o.NoCycleElim
-		cfg.DemandLoad = !o.NoDemandLoad
-		cfg.Jobs = o.Jobs
-	}
-	return cfg
 }
 
 func (o *WorkspaceOptions) incrConfig(dir string) incr.Config {
+	ao := o.analyzeOptions()
 	cfg := incr.Config{
 		Dir:      dir,
 		Frontend: o.frontend(),
-		Solver:   o.solver(),
-		Core:     o.coreConfig(),
+		Solver:   ao.solver(),
+		Model:    ao.extModel().model(),
+		Core:     ao.coreConfig(),
 		Obs:      o.observer(),
 	}
 	if o != nil {
 		cfg.Includes = o.IncludeDirs
-		cfg.Model = o.ExtModel.model()
 		cfg.Jobs = o.Jobs
 		cfg.CacheDir = o.CacheDir
 	}
