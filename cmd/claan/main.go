@@ -250,7 +250,7 @@ func compileUnits(args []string, jobs int, o *obs.Observer) (*prim.Program, erro
 	if err != nil {
 		return nil, err
 	}
-	return linker.LinkParallelObs(progs, jobs, o)
+	return linker.LinkObs(progs, o)
 }
 
 // writeDot exports the non-empty points-to relation as a Graphviz digraph:

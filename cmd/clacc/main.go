@@ -100,7 +100,7 @@ func main() {
 	if *out != "" {
 		merged := progs[0]
 		if len(progs) > 1 {
-			merged, err = linker.LinkParallelObs(progs, *jobs, o)
+			merged, err = linker.LinkObs(progs, o)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "clacc: %v\n", err)
 				os.Exit(1)

@@ -241,5 +241,5 @@ func loadProgram(args []string, includes, defines string, jobs int, o *obs.Obser
 	if err != nil {
 		return nil, err
 	}
-	return linker.LinkParallelObs(progs, jobs, o)
+	return linker.LinkObs(progs, o)
 }

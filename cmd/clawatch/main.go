@@ -1,9 +1,9 @@
 // Clawatch tails a directory of C sources: it analyzes the tree once,
 // prints the lint findings, then polls for edits and re-lints each new
-// analysis generation. Only the edited units are recompiled, only their
-// merge path is relinked, and the fixpoint re-solves only when the
-// linked database actually changed — so the loop latency tracks the
-// size of the edit, not the size of the tree.
+// analysis generation. Only the edited units are recompiled, the units
+// are relinked in one fold, and the fixpoint re-solves only when the
+// linked database actually changed; a poll that recompiles nothing
+// keeps the current generation without linking.
 //
 // Usage:
 //

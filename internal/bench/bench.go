@@ -49,7 +49,7 @@ func compileUnits(units []string, loader cpp.Loader, opts frontend.Options, jobs
 	if err != nil {
 		return nil, err
 	}
-	return linker.LinkParallel(progs, jobs)
+	return linker.Link(progs)
 }
 
 // BuildWorkload generates and compiles one profile at the given scale.

@@ -116,7 +116,7 @@ func RunIncr(w *Workload, jobs int) ([]RowIncr, error) {
 	out = append(out, speedup(mkRow("warm-touch", st, time.Since(start))))
 
 	// Warm edit: one unit gains a new points-to fact. Exactly that unit
-	// recompiles, its merge path relinks, and the changed database
+	// recompiles, the units relink, and the changed database
 	// re-solves — the full edit-to-answer latency of watch mode.
 	edited := append(content, []byte("\nint clabench_incr_g;\nint *clabench_incr_p = &clabench_incr_g;\n")...)
 	if err := os.WriteFile(unit, edited, 0o644); err != nil {

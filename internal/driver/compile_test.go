@@ -82,7 +82,7 @@ func TestParallelCompileMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := linker.LinkParallel(progs, 4)
+	parallel, err := linker.Link(progs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func TestCompile(t *testing.T) {
 						t.Errorf("jobs=%d: %s differs from a fresh compile", jobs, u)
 					}
 				}
-				prog, err := linker.LinkParallel(progs, jobs)
+				prog, err := linker.Link(progs)
 				if err != nil {
 					t.Fatal(err)
 				}

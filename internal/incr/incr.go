@@ -6,7 +6,8 @@
 // instead of a million lines turns an edit-analyze round trip from
 // seconds into milliseconds.
 //
-// The pipeline tracks three layers of reuse, each content-addressed:
+// A refresh reuses work at two content-addressed layers, and skips the
+// rest when there is nothing to redo:
 //
 //   - Unit databases. Every translation unit is keyed by its compile
 //     options plus the srchash digest of the unit source and every file
@@ -15,15 +16,14 @@
 //     with a cache directory configured they are also served from an
 //     on-disk store across sessions, so a fresh process warm-starts
 //     without parsing anything.
-//   - Link subtrees. Relinking replays the same pairwise merge tree as
-//     linker.LinkParallel through a generation-scoped memo
-//     (linker.LinkTreeMemo), so an edit to one of N units re-runs only
-//     the O(log N) merges on its root path.
-//   - The fixpoint. The linked database is digested
-//     (prim.Program.Digest folded with solver, extern model and
-//     configuration identity) and the solve is routed through the
-//     solvers' warm-start entry points: an unchanged digest returns the
-//     previous fixpoint byte-for-byte without solving.
+//   - The fixpoint. After the units are relinked (one linker.Link fold,
+//     cheaper than any memo of partial links), the linked database is
+//     digested (prim.Program.Digest folded with solver, extern model
+//     and configuration identity). A digest equal to the current
+//     generation's keeps that generation: nothing is solved.
+//   - The no-op. When every unit was reused from memory and the unit
+//     list is unchanged, the refresh returns the current generation
+//     without linking or digesting; only the stat stamps are renewed.
 //
 // Each successful refresh that changes the analysis yields a new
 // *Result — an immutable generation snapshot. Queries in flight against
@@ -77,8 +77,9 @@ type Config struct {
 	// CacheDir, when non-empty, enables the on-disk unit store there, so
 	// compiled units survive across pipeline sessions.
 	CacheDir string
-	// Obs receives phase spans, incr.* counters and the incr.refresh
-	// latency histogram. Nil disables instrumentation.
+	// Obs receives phase spans, incr.* counters, the incr.refresh
+	// latency histogram and its incr.refresh.<phase> split. Nil disables
+	// instrumentation.
 	Obs *obs.Observer
 }
 
@@ -93,8 +94,7 @@ type dep struct {
 type unit struct {
 	path string
 	prog *prim.Program
-	deps []dep  // sorted by path
-	key  uint64 // content key: options + dep closure (leafKey)
+	deps []dep // sorted by path
 }
 
 // stamp is a cheap stat-level fingerprint used by staleness probes.
@@ -109,11 +109,11 @@ type RefreshStats struct {
 	// dirty and re-parsed, StoreHits were dirty but served from the
 	// on-disk store, and Reused were clean and kept from memory.
 	Units, Recompiled, StoreHits, Reused int
-	// MergesDone and MergesReused split the relink tree's pairwise
-	// merges into re-run versus memo-served.
+	// MergesDone and MergesReused are always 0: the link is one fold
+	// with no pairwise merges. They remain for existing readers.
 	MergesDone, MergesReused int
-	// SolveReused reports that the fixpoint was reused byte-for-byte
-	// because the solve digest did not change.
+	// SolveReused reports that the current generation was kept: the
+	// solve digest did not change, or nothing was recompiled at all.
 	SolveReused bool
 	// Changed reports that the refresh produced a new generation.
 	Changed bool
@@ -152,13 +152,11 @@ type Result struct {
 type Pipeline struct {
 	cfg   Config
 	store *store
-	memo  *linker.MergeCache
 
 	mu     sync.Mutex
 	gen    uint64
 	units  map[string]*unit
 	stamps map[string]stamp
-	warm   *pts.Warm
 	cur    *Result
 }
 
@@ -189,8 +187,7 @@ func CompileDir(ctx context.Context, cfg Config) (*prim.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	linked, _, err := p.linkPhase(units)
-	return linked, err
+	return p.linkPhase(units)
 }
 
 // Compile is the one compile fan-out: the pipeline's refreshes,
@@ -223,7 +220,7 @@ func newPipeline(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pipeline{cfg: cfg, store: st, memo: linker.NewMergeCache(), units: map[string]*unit{}}, nil
+	return &Pipeline{cfg: cfg, store: st, units: map[string]*unit{}}, nil
 }
 
 // Current returns the latest generation snapshot.
@@ -367,7 +364,7 @@ func (hc *hashCache) hash(path string) string {
 }
 
 // optsFingerprint folds the semantically relevant compile options into
-// unit keys and store entry names.
+// store entry names.
 func optsFingerprint(opts frontend.Options) string {
 	keys := make([]string, 0, len(opts.Defines))
 	for k, v := range opts.Defines {
@@ -375,20 +372,6 @@ func optsFingerprint(opts frontend.Options) string {
 	}
 	sort.Strings(keys)
 	return fmt.Sprintf("mode=%d;strings=%v;defines=%v", opts.Mode, opts.ModelStrings, keys)
-}
-
-// leafKey derives a unit's content key from its compile options and
-// dependency closure — the identity the link memo and the on-disk store
-// agree on.
-func leafKey(opts frontend.Options, deps []dep) uint64 {
-	h := srchash.Offset()
-	h = srchash.FoldString(h, optsFingerprint(opts))
-	for _, d := range deps {
-		h = srchash.FoldU32(h, uint32(len(d.path)))
-		h = srchash.FoldString(h, d.path)
-		h = srchash.FoldString(h, d.hash)
-	}
-	return h
 }
 
 // dirty reports whether any of u's dependencies changed. With a hint
@@ -518,7 +501,7 @@ func compile(ctx context.Context, cfg Config, st *store, paths []string, loader 
 			return fmt.Errorf("incr: compile %s: %w", path, err)
 		}
 		deps := tl.deps()
-		u := &unit{path: path, prog: prog, deps: deps, key: leafKey(cfg.Frontend, deps)}
+		u := &unit{path: path, prog: prog, deps: deps}
 		if st != nil {
 			st.save(u, cfg.Frontend)
 		}
@@ -535,14 +518,13 @@ func compile(ctx context.Context, cfg Config, st *store, paths []string, loader 
 	return units, n, nil
 }
 
-// linkPhase merges the units through the generation memo.
-func (p *Pipeline) linkPhase(units []*unit) (*prim.Program, linker.TreeStats, error) {
+// linkPhase links the units' databases in unit order.
+func (p *Pipeline) linkPhase(units []*unit) (*prim.Program, error) {
 	progs := make([]*prim.Program, len(units))
-	keys := make([]uint64, len(units))
 	for i, u := range units {
-		progs[i], keys[i] = u.prog, u.key
+		progs[i] = u.prog
 	}
-	return linker.LinkTreeMemo(progs, keys, p.cfg.Jobs, p.memo, p.cfg.Obs)
+	return linker.LinkObs(progs, p.cfg.Obs)
 }
 
 // solveDigest identifies one solved configuration: the linked database's
@@ -582,51 +564,10 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 		return nil, st, err
 	}
 
-	linkStart := time.Now()
-	linked, ts, err := p.linkPhase(units)
+	res, err := p.analyzePhase(ctx, units, &st)
 	if err != nil {
 		return nil, st, err
 	}
-	st.MergesDone, st.MergesReused = ts.Merges, ts.Reused
-	st.Link = time.Since(linkStart)
-
-	solveStart := time.Now()
-	digest := p.solveDigest(linked)
-	var res *Result
-	if p.cur != nil && p.warm.Match(digest) {
-		// Unchanged analysis: route through the warm-start seam (which
-		// returns the previous fixpoint without solving) and keep the
-		// current generation — its program content is identical, so the
-		// extern-model clone is skipped too.
-		cfg := p.cfg.Core
-		cfg.Jobs = p.cfg.Jobs
-		if _, reused, err := driver.AnalyzeWarmCtx(ctx, p.cur.Src, p.cfg.Solver, cfg, digest, p.warm); err != nil {
-			return nil, st, err
-		} else if reused {
-			st.SolveReused = true
-		}
-		res = p.cur
-	} else {
-		aprog := linked
-		if p.cfg.Model != extmodel.Unsound {
-			aprog, _ = extmodel.ApplyClone(linked, p.cfg.Model)
-		}
-		src := pts.NewMemSource(aprog)
-		cfg := p.cfg.Core
-		cfg.Jobs = p.cfg.Jobs
-		r, err := driver.Analyze(ctx, src, p.cfg.Solver, cfg, o)
-		if err != nil {
-			return nil, st, err
-		}
-		p.gen++
-		st.Changed = true
-		res = &Result{
-			Gen: p.gen, Prog: aprog, Linked: linked, Src: src, Res: r,
-			Digest: digest, Built: time.Now(),
-		}
-		p.warm = &pts.Warm{Digest: digest, Result: r}
-	}
-	st.Solve = time.Since(solveStart)
 	st.Total = time.Since(start)
 	if st.Changed {
 		res.Stats = st
@@ -652,10 +593,58 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 	o.Gauge("incr.generation").Set(int64(p.gen))
 	o.Counter("incr.refreshes").Inc()
 	o.Counter("incr.units_reused").Add(int64(st.Reused))
-	o.Counter("incr.link_merges_reused").Add(int64(st.MergesReused))
 	if st.SolveReused {
 		o.Counter("incr.solve_reused").Inc()
 	}
 	o.Histogram("incr.refresh").ObserveSince(start)
+	o.Histogram("incr.refresh.hash").Observe(int64(st.Hash))
+	o.Histogram("incr.refresh.compile").Observe(int64(st.Compile))
+	o.Histogram("incr.refresh.link").Observe(int64(st.Link))
+	o.Histogram("incr.refresh.solve").Observe(int64(st.Solve))
 	return res, st, nil
+}
+
+// analyzePhase links and solves units, or keeps the current generation
+// where that would reproduce it. With every unit reused from memory and
+// none removed, units are exactly the current generation's, so nothing
+// is linked. Otherwise the link runs and a solve digest equal to the
+// current generation's keeps it too: every solver is deterministic, so
+// the fixpoint would come out byte-identical. Anything else solves a new
+// generation.
+func (p *Pipeline) analyzePhase(ctx context.Context, units []*unit, st *RefreshStats) (*Result, error) {
+	if p.cur != nil && st.Reused == len(units) && len(units) == len(p.units) {
+		st.SolveReused = true
+		return p.cur, nil
+	}
+	linkStart := time.Now()
+	linked, err := p.linkPhase(units)
+	if err != nil {
+		return nil, err
+	}
+	st.Link = time.Since(linkStart)
+
+	solveStart := time.Now()
+	defer func() { st.Solve = time.Since(solveStart) }()
+	digest := p.solveDigest(linked)
+	if p.cur != nil && digest == p.cur.Digest {
+		st.SolveReused = true
+		return p.cur, nil
+	}
+	aprog := linked
+	if p.cfg.Model != extmodel.Unsound {
+		aprog, _ = extmodel.ApplyClone(linked, p.cfg.Model)
+	}
+	src := pts.NewMemSource(aprog)
+	cfg := p.cfg.Core
+	cfg.Jobs = p.cfg.Jobs
+	r, err := driver.Analyze(ctx, src, p.cfg.Solver, cfg, p.cfg.Obs)
+	if err != nil {
+		return nil, err
+	}
+	p.gen++
+	st.Changed = true
+	return &Result{
+		Gen: p.gen, Prog: aprog, Linked: linked, Src: src, Res: r,
+		Digest: digest, Built: time.Now(),
+	}, nil
 }

@@ -190,6 +190,73 @@ func TestNoopRefreshKeepsGeneration(t *testing.T) {
 	}
 }
 
+// TestNoopAndTouchRefreshKeepResult pins the no-op return: with nothing
+// recompiled and no unit added or removed, a refresh hands back the very
+// same *Result without linking (no "link" span), whether nothing moved
+// or a file's mtime moved with its content unchanged. The stat stamps
+// are still renewed, so the touched file no longer looks stale, and each
+// refresh lands in the four phase histograms.
+func TestNoopAndTouchRefreshKeepResult(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, baseTree)
+	cfg := testConfig(dir)
+	o := obs.New()
+	cfg.Obs = o
+	p, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := func() int {
+		n := 0
+		for _, e := range o.Events() {
+			if e.Name == "link" {
+				n++
+			}
+		}
+		return n
+	}
+	first := p.Current()
+	if n := links(); n != 1 {
+		t.Fatalf("open ran %d link spans, want 1", n)
+	}
+	touch := func() {
+		later := time.Now().Add(time.Hour)
+		if err := os.Chtimes(filepath.Join(dir, "shared.h"), later, later); err != nil {
+			t.Fatal(err)
+		}
+		if stale, _ := p.Stale(); !stale {
+			t.Fatal("touched workspace reported clean")
+		}
+	}
+	for _, step := range []struct {
+		name   string
+		before func()
+	}{{"noop", func() {}}, {"touch", touch}} {
+		step.before()
+		res, st, err := p.Refresh(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != first {
+			t.Fatalf("%s: refresh returned a new Result (generation %d)", step.name, res.Gen)
+		}
+		if st.Changed || st.Recompiled != 0 || !st.SolveReused {
+			t.Fatalf("%s: stats = %+v", step.name, st)
+		}
+		if n := links(); n != 1 {
+			t.Fatalf("%s: %d link spans, want 1", step.name, n)
+		}
+		if stale, changed := p.Stale(); stale {
+			t.Fatalf("%s: stamps not renewed, stale: %v", step.name, changed)
+		}
+	}
+	for _, phase := range []string{"hash", "compile", "link", "solve"} {
+		if n := o.Histogram("incr.refresh." + phase).Count(); n != 3 {
+			t.Errorf("incr.refresh.%s has %d observations, want 3", phase, n)
+		}
+	}
+}
+
 // TestSharedHeaderRecompilesExactlyItsUsers is the issue's e2e case: an
 // edit to a header included by two of four units must recompile exactly
 // those two (observed through the incr.* counters), and the incremental

@@ -69,7 +69,7 @@ func (s *store) load(unitPath string, opts frontend.Options, hc *hashCache) (*un
 	if err != nil {
 		return nil, false
 	}
-	return &unit{path: unitPath, prog: prog, deps: deps, key: leafKey(opts, deps)}, true
+	return &unit{path: unitPath, prog: prog, deps: deps}, true
 }
 
 // save writes u's object and manifest. Failures are swallowed — the

@@ -3,12 +3,16 @@ package linker
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
+	"cla/internal/cpp"
 	"cla/internal/frontend"
+	"cla/internal/gen"
 	"cla/internal/objfile"
 	"cla/internal/obs"
 	"cla/internal/prim"
@@ -198,6 +202,19 @@ func TestLinkBadAssignRejected(t *testing.T) {
 	if _, err := Link([]*prim.Program{a}); err == nil {
 		t.Error("bad assignment accepted")
 	}
+	// A function record's parameters and return are checked too, in a
+	// duplicate record as well as a first one.
+	for _, rec := range []prim.FuncRecord{
+		{Func: 0, Params: []prim.SymID{42}, Ret: prim.NoSym},
+		{Func: 0, Ret: 42},
+	} {
+		f := &prim.Program{}
+		f.AddSym(prim.Symbol{Name: "f", Kind: prim.SymFunc})
+		f.Funcs = []prim.FuncRecord{{Func: 0, Ret: prim.NoSym}, rec}
+		if _, err := Link([]*prim.Program{f}); err == nil {
+			t.Errorf("bad function record %+v accepted", rec)
+		}
+	}
 }
 
 func TestLinkFilesEndToEnd(t *testing.T) {
@@ -323,10 +340,112 @@ func dumpProgram(t *testing.T, p *prim.Program) []byte {
 	return buf.Bytes()
 }
 
+// treeLink is the oracle: the pairwise tree merge the linker used to run,
+// adjacent units merged in rounds until one program is left. Link is one
+// left fold; the two must agree byte for byte.
+func treeLink(t *testing.T, units []*prim.Program) *prim.Program {
+	t.Helper()
+	cur := units
+	for len(cur) > 1 {
+		next := make([]*prim.Program, 0, (len(cur)+1)/2)
+		for i := 0; i < len(cur); i += 2 {
+			if i+1 == len(cur) {
+				next = append(next, cur[i])
+				continue
+			}
+			p, err := Link([]*prim.Program{cur[i], cur[i+1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			next = append(next, p)
+		}
+		cur = next
+	}
+	p, err := Link(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// genUnits compiles a generated profile with its unit count set to files.
+func genUnits(t *testing.T, name string, scale float64, files int) []*prim.Program {
+	t.Helper()
+	p, ok := gen.ProfileByName(name)
+	if !ok {
+		t.Fatalf("no profile %s", name)
+	}
+	p = p.Scale(scale)
+	p.Files = files
+	p.Funcs = max(p.Funcs, files)
+	code := gen.Generate(p, 1)
+	var units []*prim.Program
+	for _, u := range code.Units() {
+		prog, err := frontend.CompileSource(u, code.Files[u], code.Loader(), frontend.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", u, err)
+		}
+		units = append(units, prog)
+	}
+	return units
+}
+
+func TestLinkMatchesTreeOracle(t *testing.T) {
+	// Unit counts that do not divide evenly into pairs give the tree
+	// passthroughs at several levels.
+	inputs := map[string][]*prim.Program{}
+	for _, n := range []int{1, 2, 3, 7, 33} {
+		inputs[fmt.Sprintf("many%d", n)] = manyUnits(t, n)
+	}
+	inputs["nethack"] = genUnits(t, "nethack", 0.2, 7)
+	inputs["emacs"] = genUnits(t, "emacs", 0.05, 5)
+	inputs["povray"] = genUnits(t, "povray", 0.05, 9)
+	inputs["gimp"] = genUnits(t, "gimp", 0.01, 11)
+
+	dir := filepath.Join("..", "..", "examples", "corpus")
+	paths, err := filepath.Glob(filepath.Join(dir, "*.c"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("corpus units: %v %v", paths, err)
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := frontend.CompileSource(path, string(src), cpp.OSLoader{Dirs: []string{dir}}, frontend.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs["corpus"] = append(inputs["corpus"], p)
+	}
+
+	for name, units := range inputs {
+		got, err := Link(units)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := treeLink(t, units)
+		if !bytes.Equal(dumpProgram(t, got), dumpProgram(t, want)) {
+			t.Errorf("%s: Link differs from the tree merge", name)
+		}
+		if got.Digest() != want.Digest() {
+			t.Errorf("%s: digest %x, tree merge %x", name, got.Digest(), want.Digest())
+		}
+		// Link mutates nothing, so the units relink identically.
+		again, err := LinkParallel(units, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dumpProgram(t, again), dumpProgram(t, got)) {
+			t.Errorf("%s: relink differs", name)
+		}
+	}
+}
+
 func TestLinkParallelMatchesSequential(t *testing.T) {
-	// The tree merge must be byte-identical to the sequential left fold
-	// for every worker count, including unit counts that do not divide
-	// evenly into pairs.
+	// The deprecated LinkParallel entry point must stay byte-identical to
+	// the left fold for every worker count, including unit counts that do
+	// not divide evenly into pairs.
 	for _, n := range []int{1, 2, 3, 7, 33} {
 		units := manyUnits(t, n)
 		seq, err := Link(units)
@@ -347,49 +466,74 @@ func TestLinkParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestLinkParallelObsMatchesAndIsDeterministic(t *testing.T) {
-	// The instrumented tree merge must produce the same program as the
-	// uninstrumented path, and the recorded span/counter structure must
-	// be identical at every worker count (only timings may differ).
+func TestLinkTreeMemoMatchesPlainLink(t *testing.T) {
+	// Units that all define their own pointer to one shared global: the
+	// pairwise tree merge (which the memoized relink used to cache) must
+	// agree with the plain fold on every unit count.
+	for _, n := range []int{1, 2, 3, 5, 8} {
+		units := make([]*prim.Program, n)
+		for i := range units {
+			units[i] = compileUnit(t, "u.c", fmt.Sprintf("int shared;\nint *u%c = &shared;\n", 'a'+i))
+		}
+		got, err := Link(units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := treeLink(t, units)
+		if !bytes.Equal(dumpProgram(t, got), dumpProgram(t, want)) {
+			t.Errorf("n=%d: Link differs from the tree merge", n)
+		}
+		if c := symNames(got, "shared"); c != 1 {
+			t.Errorf("n=%d: %d symbols named shared, want 1", n, c)
+		}
+	}
+}
+
+// TestLinkAllocBound guards the pre-sized fold: one link of gimp@0.05
+// (10 units) allocated 2.4MB when the bound was set, against 9.6MB for
+// the fold without pre-sizing and 33MB for the pairwise tree.
+func TestLinkAllocBound(t *testing.T) {
+	units := genUnits(t, "gimp", 0.05, 10)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := Link(units); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const bound = 2 * 2_400_000
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("Link allocated %d bytes, bound %d", got, bound)
+	}
+}
+
+func TestLinkObsMatchesAndIsDeterministic(t *testing.T) {
+	// The instrumented link must produce the same program as the
+	// uninstrumented one and record one "link" span and the unit count.
 	units := manyUnits(t, 7)
 	seq, err := Link(units)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := dumpProgram(t, seq)
-
-	shape := func(o *obs.Observer) string {
-		var b bytes.Buffer
-		for _, e := range o.Events() {
-			fmt.Fprintf(&b, "%d %s\n", e.Track, e.Name)
-		}
-		for _, m := range o.Counters() {
-			fmt.Fprintf(&b, "%s=%d\n", m.Name, m.Value)
-		}
-		return b.String()
+	o := obs.New()
+	p, err := LinkObs(units, o)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	var base string
-	for _, jobs := range []int{1, 2, 8} {
-		o := obs.New()
-		p, err := LinkParallelObs(units, jobs, o)
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		if !bytes.Equal(want, dumpProgram(t, p)) {
-			t.Errorf("jobs=%d: instrumented link differs from sequential fold", jobs)
-		}
-		if n := o.OpenSpans(); n != 0 {
-			t.Fatalf("jobs=%d: %d spans left open", jobs, n)
-		}
-		s := shape(o)
-		if base == "" {
-			base = s
-		} else if s != base {
-			t.Errorf("jobs=%d span shape differs:\n%s\nvs\n%s", jobs, s, base)
-		}
+	if !bytes.Equal(dumpProgram(t, seq), dumpProgram(t, p)) {
+		t.Error("instrumented link differs from Link")
 	}
-	if !strings.Contains(base, "merge r0.0") || !strings.Contains(base, "link.merges=6") {
-		t.Errorf("unexpected shape:\n%s", base)
+	if n := o.OpenSpans(); n != 0 {
+		t.Fatalf("%d spans left open", n)
+	}
+	var b strings.Builder
+	for _, e := range o.Events() {
+		fmt.Fprintf(&b, "%d %s\n", e.Track, e.Name)
+	}
+	for _, m := range o.Counters() {
+		fmt.Fprintf(&b, "%s=%d\n", m.Name, m.Value)
+	}
+	if got, want := b.String(), "0 link\nlink.units=7\n"; got != want {
+		t.Errorf("recorded shape:\n%s\nwant:\n%s", got, want)
 	}
 }

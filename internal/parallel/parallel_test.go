@@ -85,42 +85,6 @@ func TestShardCoversRangeExactly(t *testing.T) {
 	}
 }
 
-func TestReduceMatchesSequentialFold(t *testing.T) {
-	// String concatenation is associative, so the tree must reproduce the
-	// left fold exactly for any worker count and length.
-	for n := 0; n < 20; n++ {
-		items := make([]string, n)
-		want := ""
-		for i := range items {
-			items[i] = fmt.Sprintf("<%d>", i)
-			want += items[i]
-		}
-		for _, j := range []int{1, 2, 8} {
-			got, err := Reduce(j, items, func(a, b string) (string, error) {
-				return a + b, nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("n=%d j=%d: got %q, want %q", n, j, got, want)
-			}
-		}
-	}
-}
-
-func TestReduceError(t *testing.T) {
-	_, err := Reduce(4, []int{1, 2, 3, 4, 5}, func(a, b int) (int, error) {
-		if b == 4 {
-			return 0, errors.New("bad pair")
-		}
-		return a + b, nil
-	})
-	if err == nil {
-		t.Error("merge error not surfaced")
-	}
-}
-
 // TestDetachedObserverAllocatesNothing pins the disabled-instrumentation
 // cost of the pool hook: with no observer attached, noting a batch must
 // not allocate (one atomic load and a nil-receiver call).
